@@ -2,16 +2,21 @@
 
 The adversary acts before each round's arm draw: it may shift the expected
 rewards to a corrupted vector r', paying cost max_a |r_a - r'_a(t)| from a
-fixed budget C. It sees the learner's current sampling distribution but not
-the arm about to be drawn. Where the corruption lands in time is fixed by a
-*schedule* built ahead of the run; how hard each scheduled round is hit is
-capped by ``per_step_cost`` and by whatever budget remains.
+fixed budget C. It is oblivious: it reads nothing of the learner's state,
+neither its sampling distribution nor the arm about to be drawn. Where the
+corruption lands in time is fixed by a *schedule* built ahead of the run; how
+hard each scheduled round is hit is capped by ``per_step_cost`` and by
+whatever budget remains. An episode's whole corruption is therefore fixed by
+the instance, the plan, the per-step cost and the adversary stream, and the
+engine resolves it with :func:`resolve_corruption` before round 0;
+:func:`apply_corruption` is the same arithmetic one round at a time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -144,10 +149,11 @@ class CorruptionLedger:
     per_step_cost: float
     schedule: tuple[int, ...]
     spent: float = 0.0
-    _scheduled: frozenset = field(init=False, repr=False)
 
-    def __post_init__(self):
-        self._scheduled = frozenset(self.schedule)
+    @cached_property
+    def _scheduled(self) -> frozenset:
+        # Built on the first per-round lookup; the engine's resolve pass never needs it.
+        return frozenset(self.schedule)
 
     def remaining(self) -> float:
         return self.plan.budget - self.spent
@@ -166,6 +172,45 @@ def make_ledger(
     return CorruptionLedger(plan=plan, per_step_cost=per_step_cost, schedule=schedule)
 
 
+def _charge(
+    instance: BanditInstance, ledger: CorruptionLedger, rounds: tuple[int, ...]
+) -> dict[int, tuple[tuple[float, ...], float]]:
+    """Corrupt scheduled ``rounds`` in order, charging each realized cost to the ledger.
+
+    Each round shifts by ``min(per_step_cost, remaining budget)`` and costs
+    max_a |r_a - r'_a|; rounds the budget no longer reaches are left out of
+    the result. The corrupted vector and its cost depend on the shift alone,
+    so they are recomputed only when the shift changes (the residual round).
+    """
+    means = instance.means
+    a_best = instance.optimal_arm
+    swap = ledger.plan.strategy == "swap_extremes"
+    if swap:
+        a_worst = min(range(len(means)), key=lambda a: (means[a], a))
+    budget = ledger.plan.budget
+    per_step = ledger.per_step_cost
+    spent = ledger.spent
+    out = {}
+    last_shift = hit = None
+    for t in rounds:
+        remaining = budget - spent
+        if remaining <= 0.0:
+            break
+        shift = remaining if remaining < per_step else per_step  # min(), minus the call
+        if shift != last_shift:
+            shifted = list(means)
+            shifted[a_best] = max(0.0, means[a_best] - shift)
+            if swap:
+                shifted[a_worst] = min(1.0, means[a_worst] + shift)
+            cost = max(abs(means[a] - shifted[a]) for a in range(len(means)))
+            hit = (tuple(shifted), cost)
+            last_shift = shift
+        spent += hit[1]
+        out[t] = hit
+    ledger.spent = spent
+    return out
+
+
 def apply_corruption(
     instance: BanditInstance, ledger: CorruptionLedger, t: int
 ) -> tuple[tuple[float, ...], float]:
@@ -174,19 +219,21 @@ def apply_corruption(
     Unscheduled rounds (and rounds after the budget ran out) return the true
     means with zero cost. Returned vectors must be treated as read-only.
     """
-    means = instance.means
     if t not in ledger._scheduled:
-        return means, 0.0
-    remaining = ledger.remaining()
-    if remaining <= 0.0:
-        return means, 0.0
-    shift = min(ledger.per_step_cost, remaining)
-    shifted = list(means)
-    a_best = instance.optimal_arm
-    shifted[a_best] = max(0.0, means[a_best] - shift)
-    if ledger.plan.strategy == "swap_extremes":
-        a_worst = min(range(len(means)), key=lambda a: (means[a], a))
-        shifted[a_worst] = min(1.0, means[a_worst] + shift)
-    cost = max(abs(means[a] - shifted[a]) for a in range(len(means)))
-    ledger.spent += cost
-    return tuple(shifted), cost
+        return instance.means, 0.0
+    return _charge(instance, ledger, (t,)).get(t, (instance.means, 0.0))
+
+
+def resolve_corruption(
+    instance: BanditInstance, ledger: CorruptionLedger
+) -> dict[int, tuple[tuple[float, ...], float]]:
+    """``{round: (corrupted means, realized cost)}`` for every round the budget reaches.
+
+    Equivalent to calling :func:`apply_corruption` on every round in order
+    (the schedule from :func:`make_ledger` is ascending and distinct), and
+    leaves ``ledger.spent`` where those calls would: the same shifts,
+    clipping, costs and sequential spend. Rounds missing from the result are
+    clean (true means, zero cost). Returned vectors are shared and must be
+    treated as read-only.
+    """
+    return _charge(instance, ledger, ledger.schedule)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -42,6 +43,8 @@ from .verify import SuiteSizes, run_verification_suite, tampered_update
 RESULTS_COLUMNS = "algorithm,scheme,corruption_level,K,mean_regret,sd_regret,replications,seed"
 CURVES_COLUMNS = "algorithm,scheme,corruption_level,t,mean_regret,sd_regret"
 BENCH_COLUMNS = "algorithm,mean_s,sd_s,step_ratio"
+# "custom" needs explicit rounds, which only the library API can pass.
+CONFIG_SCHEMES = tuple(s for s in SCHEMES if s != "custom")
 
 
 class ConfigError(Exception):
@@ -66,6 +69,26 @@ def _load_json(path: str) -> dict:
     if version != 1:
         raise ConfigError(f"unsupported schema_version {version!r}, expected 1")
     return data
+
+
+def _is_int(value) -> bool:
+    """A JSON integer; ``true``/``false`` load as Python ints but are not counts."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    """A finite JSON number (json.load accepts NaN and Infinity) within float range."""
+    try:
+        return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+    except OverflowError:  # an integer literal beyond float range
+        return False
+
+
+def _master_seed(cfg: dict, args, default: int) -> int:
+    seed = args.seed if args.seed is not None else cfg.get("master_seed", default)
+    if not _is_int(seed) or not 0 <= seed < 2**64:
+        raise ConfigError("'master_seed' must be an unsigned 64-bit integer")
+    return seed
 
 
 def _as_list(value) -> list:
@@ -93,7 +116,7 @@ def _parse_instances(cfg: dict, *, allow_grid: bool) -> tuple[InstanceSpec, ...]
             raise ConfigError("an arm-count grid needs the sweep command")
         specs = []
         for k in ks:
-            if not isinstance(k, int) or k < 2:
+            if not _is_int(k) or k < 2:
                 raise ConfigError(f"arm count must be an integer >= 2, got {k!r}")
             specs.append(InstanceSpec(k=k))
         return tuple(specs)
@@ -110,19 +133,19 @@ def _parse_plans(cfg: dict) -> tuple[PlanSpec, ...]:
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
     per_step = raw.get("per_step_cost")
-    if per_step is not None and (not isinstance(per_step, (int, float)) or per_step <= 0):
-        raise ConfigError("'per_step_cost' must be a positive number or omitted")
+    if per_step is not None and (not _is_finite(per_step) or per_step <= 0):
+        raise ConfigError("'per_step_cost' must be a finite positive number or omitted")
     schemes = _as_list(raw.get("schemes", raw.get("scheme", "none")))
     budgets = _as_list(raw.get("budgets", raw.get("budget", 0.0)))
     if not schemes or not budgets:
         raise ConfigError("corruption grid is empty")
     plans = []
     for scheme in schemes:
-        if scheme not in SCHEMES:
-            raise ConfigError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
+        if scheme not in CONFIG_SCHEMES:
+            raise ConfigError(f"unknown scheme {scheme!r}, expected one of {CONFIG_SCHEMES}")
         for budget in budgets:
-            if not isinstance(budget, (int, float)) or budget < 0:
-                raise ConfigError(f"budget must be a number >= 0, got {budget!r}")
+            if not _is_finite(budget) or budget < 0:
+                raise ConfigError(f"budget must be a finite number >= 0, got {budget!r}")
             plans.append(
                 PlanSpec(
                     scheme=scheme,
@@ -154,16 +177,14 @@ def _parse_algorithms(cfg: dict) -> tuple[AlgorithmSpec, ...]:
 
 def _parse_experiment(cfg: dict, args, *, allow_grid: bool) -> ExperimentConfig:
     horizon = cfg.get("horizon")
-    if not isinstance(horizon, int) or horizon < 1:
+    if not _is_int(horizon) or horizon < 1:
         raise ConfigError("'horizon' must be a positive integer")
     reps = cfg.get("replications", 1)
-    if not isinstance(reps, int) or reps < 1:
+    if not _is_int(reps) or reps < 1:
         raise ConfigError("'replications' must be a positive integer")
-    seed = args.seed if args.seed is not None else cfg.get("master_seed", 0)
-    if not isinstance(seed, int) or not 0 <= seed < 2**64:
-        raise ConfigError("'master_seed' must be an unsigned 64-bit integer")
+    seed = _master_seed(cfg, args, 0)
     per_decade = cfg.get("checkpoints_per_decade", 20)
-    if not isinstance(per_decade, int) or per_decade < 1:
+    if not _is_int(per_decade) or per_decade < 1:
         raise ConfigError("'checkpoints_per_decade' must be a positive integer")
     return ExperimentConfig(
         instances=_parse_instances(cfg, allow_grid=allow_grid),
@@ -247,12 +268,12 @@ def _cmd_run(args, *, allow_grid: bool) -> int:
 def _cmd_bench(args) -> int:
     cfg = _load_json(args.config) if args.config else {"schema_version": 1}
     horizon = cfg.get("horizon", 100_000)
-    if not isinstance(horizon, int) or horizon < 1:
+    if not _is_int(horizon) or horizon < 1:
         raise ConfigError("'horizon' must be a positive integer")
     reps = cfg.get("replications", 5)
-    if not isinstance(reps, int) or reps < 1:
+    if not _is_int(reps) or reps < 1:
         raise ConfigError("'replications' must be a positive integer")
-    seed = args.seed if args.seed is not None else cfg.get("master_seed", 0)
+    seed = _master_seed(cfg, args, 0)
     if "algorithms" in cfg:
         algorithms = _parse_algorithms(cfg)
     else:
@@ -290,7 +311,7 @@ def _cmd_verify(args) -> int:
     alpha = cfg.get("alpha", 0.05)
     if not isinstance(alpha, (int, float)) or not 0 < alpha < 1:
         raise ConfigError("'alpha' must lie in (0, 1)")
-    seed = args.seed if args.seed is not None else cfg.get("master_seed", 2024)
+    seed = _master_seed(cfg, args, 2024)
     sizes = SuiteSizes.fast() if args.fast else SuiteSizes()
     update_fn = tampered_update if args.tamper_update else samba_update
 
@@ -339,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="worker processes (default: BANDITLAB_THREADS or all cores)",
     )
-    common.add_argument("--fast", action="store_true", help="reduced sample counts")
 
     sub = parser.add_subparsers(dest="command", required=True)
     run_p = sub.add_parser("run", parents=[common], help="run one experiment config")
@@ -347,6 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p = sub.add_parser("sweep", parents=[common], help="run a grid over K/C/scheme")
     sweep_p.set_defaults(func=lambda a: _cmd_run(a, allow_grid=True))
     verify_p = sub.add_parser("verify", parents=[common], help="run the analysis checks")
+    verify_p.add_argument("--fast", action="store_true", help="reduced sample counts")
     verify_p.add_argument("--tamper-update", action="store_true", help=argparse.SUPPRESS)
     verify_p.set_defaults(func=_cmd_verify)
     bench_p = sub.add_parser("bench", parents=[common], help="wall-clock benchmarks")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adversary import CorruptionPlan, apply_corruption, make_ledger
+from .adversary import CorruptionPlan, make_ledger, resolve_corruption
 from .baselines import make_policy
 from .core import BanditInstance, Trace, checkpoint_grid, make_instance
 from .samba import SambaPolicy
@@ -143,46 +143,61 @@ def run_episode(
     *,
     checkpoints: list[int] | None = None,
     per_step_cost: float | None = None,
+    stamps: dict[int, float] | None = None,
 ) -> Trace:
     """Simulate one episode and return its full trace.
 
     Round protocol: corrupt the means, let the policy pick an arm, draw the
     reward from the *corrupted* mean, feed it back, record. Pseudo-regret
-    checkpoints accumulate true-mean gaps only.
+    checkpoints accumulate true-mean gaps only; those outside [1, horizon]
+    are ignored. The adversary is oblivious, so its corruption of every
+    round is resolved before round 0 and the loop only looks it up.
+
+    ``stamps``, if given, maps round indexes in [0, horizon] to be timed: each
+    key gets the ``time.perf_counter()`` reading taken when the loop reaches
+    that round (``horizon``: after the last round).
     """
     env_rng = make_stream(split_seed(seed, _ENV))
     policy_rng = make_stream(split_seed(seed, _POLICY))
     adv_rng = make_stream(split_seed(seed, _ADVERSARY))
-    ledger = make_ledger(instance, plan, per_step_cost, adv_rng)
+    corrupted = resolve_corruption(instance, make_ledger(instance, plan, per_step_cost, adv_rng))
 
     if checkpoints is None:
         checkpoints = checkpoint_grid(horizon)
     arms = np.zeros(horizon, dtype=np.int32)
     rewards = np.zeros(horizon, dtype=np.int8)
     costs = np.zeros(horizon, dtype=np.float64)
-    uniforms = env_rng.random(horizon)
+    means_at = [instance.means] * horizon
+    for t, (means, cost) in corrupted.items():
+        means_at[t] = means
+        costs[t] = cost
+    uniforms = env_rng.random(horizon).tolist()
     gaps = instance.gaps
 
+    # The loop pauses only at checkpoints and stamps, never per round.
+    cps = set(checkpoints)
+    marks = cps | set(stamps or ())
+    stops = sorted({t for t in marks if 0 < t < horizon} | {horizon})
     cum_regret = 0.0
     curve: list[tuple[int, float]] = []
-    cp_iter = iter(checkpoints)
-    next_cp = next(cp_iter, None)
-
     select = policy.select
     update = policy.update
-    for t in range(horizon):
-        means, cost = apply_corruption(instance, ledger, t)
-        arm = select(policy_rng)
-        reward = 1 if uniforms[t] < means[arm] else 0
-        update(arm, reward)
-        arms[t] = arm
-        rewards[t] = reward
-        if cost:
-            costs[t] = cost
-        cum_regret += gaps[arm]
-        if t + 1 == next_cp:
-            curve.append((t + 1, cum_regret))
-            next_cp = next(cp_iter, None)
+    if stamps is not None and 0 in stamps:
+        stamps[0] = time.perf_counter()
+    t0 = 0
+    for stop in stops:
+        for t in range(t0, stop):
+            arm = select(policy_rng)
+            reward = 1 if uniforms[t] < means_at[t][arm] else 0
+            update(arm, reward)
+            arms[t] = arm
+            rewards[t] = reward
+            cum_regret += gaps[arm]
+        t0 = stop
+        if stamps is not None and stop in stamps:
+            stamps[stop] = time.perf_counter()
+        if stop in cps:
+            curve.append((stop, cum_regret))
 
     return Trace(
         instance=instance,
@@ -316,50 +331,6 @@ class BenchRow:
     step_ratio: float
 
 
-def _timed_window_ratio(
-    algo_spec: AlgorithmSpec, instance: BanditInstance, plan_spec: PlanSpec, horizon: int, seed: int
-) -> float:
-    """Per-step wall time late in an episode divided by early.
-
-    Early window is the first 1000 rounds, late window the last 10000 (or
-    proportional for short horizons); the episode body matches run_episode's
-    per-round work.
-    """
-    early_n = min(1000, max(1, horizon // 10))
-    late_n = min(10_000, max(1, horizon // 10))
-    late_start = horizon - late_n
-
-    env_rng = make_stream(split_seed(seed, _ENV))
-    policy_rng = make_stream(split_seed(seed, _POLICY))
-    adv_rng = make_stream(split_seed(seed, _ADVERSARY))
-    plan = plan_spec.bind(horizon)
-    ledger = make_ledger(instance, plan, plan_spec.per_step_cost, adv_rng)
-    policy = make_policy(
-        algo_spec.algorithm,
-        instance.k,
-        algo_spec.param_dict(),
-        c_known=plan.budget,
-        horizon=horizon,
-    )
-    uniforms = env_rng.random(horizon)
-    early = late = 0.0
-    for t in range(horizon):
-        timed = t < early_n or t >= late_start
-        if timed:
-            t0 = time.perf_counter()
-        means, _ = apply_corruption(instance, ledger, t)
-        arm = policy.select(policy_rng)
-        reward = 1 if uniforms[t] < means[arm] else 0
-        policy.update(arm, reward)
-        if timed:
-            dt = time.perf_counter() - t0
-            if t < early_n:
-                early += dt
-            else:
-                late += dt
-    return (late / late_n) / (early / early_n)
-
-
 def bench_runtime(
     algorithms: tuple[AlgorithmSpec, ...],
     instance_spec: InstanceSpec,
@@ -369,10 +340,19 @@ def bench_runtime(
     reps: int = 5,
     master_seed: int = 0,
 ) -> list[BenchRow]:
-    """Wall-clock seconds per episode (warm-up excluded) plus early/late step ratio."""
+    """Wall-clock seconds per episode (warm-up excluded) plus early/late step ratio.
+
+    The step ratio is the per-round time of the late window (the last 10000
+    rounds, or a tenth of a shorter horizon) over that of the early window
+    (the first 1000 rounds, or a tenth), summed over the timed episodes.
+    """
+    early_n = min(1000, max(1, horizon // 10))
+    late_n = min(10_000, max(1, horizon // 10))
+    late_start = horizon - late_n
     rows = []
     for a_idx, algo in enumerate(algorithms):
         times = []
+        early = late = 0.0
         for i in range(reps + 1):
             seed = split_seed(master_seed, a_idx * (reps + 2) + i)
             instance = instance_spec.resolve(seed)
@@ -384,6 +364,7 @@ def bench_runtime(
                 c_known=plan.budget,
                 horizon=horizon,
             )
+            stamps = dict.fromkeys((0, early_n, late_start, horizon), 0.0)
             t0 = time.perf_counter()
             run_episode(
                 policy,
@@ -392,21 +373,20 @@ def bench_runtime(
                 horizon,
                 seed,
                 per_step_cost=plan_spec.per_step_cost,
+                stamps=stamps,
             )
             dt = time.perf_counter() - t0
             if i > 0:  # first episode is warm-up
                 times.append(dt)
-        ratio_seed = split_seed(master_seed, a_idx * (reps + 2) + reps + 1)
-        ratio = _timed_window_ratio(
-            algo, instance_spec.resolve(ratio_seed), plan_spec, horizon, ratio_seed
-        )
+                early += stamps[early_n] - stamps[0]
+                late += stamps[horizon] - stamps[late_start]
         arr = np.array(times)
         rows.append(
             BenchRow(
                 algorithm=algo.name,
                 mean_s=float(arr.mean()),
                 sd_s=float(arr.std(ddof=1)) if len(times) > 1 else 0.0,
-                step_ratio=ratio,
+                step_ratio=(late / late_n) / (early / early_n),
             )
         )
     return rows

@@ -200,6 +200,16 @@ class TestApplyCorruption:
         assert means[1] == 0.0
         assert cost == pytest.approx(0.3)
 
+    def test_swap_clips_worst_at_mean_ceiling(self):
+        inst = make_instance((0.2, 0.5, 0.9))
+        plan = CorruptionPlan(
+            scheme="consecutive", budget=3.0, strategy="swap_extremes", horizon=100
+        )
+        ledger = make_ledger(inst, plan, per_step_cost=1.5)
+        means, cost = apply_corruption(inst, ledger, 0)
+        assert means == (1.0, 0.5, 0.0)
+        assert cost == pytest.approx(0.9)
+
     def test_custom_per_step_cost_changes_density(self):
         inst = ladder_instance()
         plan = CorruptionPlan(scheme="consecutive", budget=10.0, horizon=1000)

@@ -77,6 +77,34 @@ class TestRun:
             lambda c: c.update(corruption={"schemes": [], "budgets": [5]}),
             lambda c: c.update(master_seed=-1),
             lambda c: c.update(master_seed=2**64),
+            # a config cannot carry custom_rounds: it would run uncorrupted
+            # while results.csv reports the budget
+            pytest.param(lambda c: c.update(corruption={"scheme": "custom", "budget": 5}),
+                         id="custom_scheme"),
+            # JSON true/false load as Python ints
+            pytest.param(lambda c: c.update(horizon=True), id="horizon_bool"),
+            pytest.param(lambda c: c.update(replications=True), id="replications_bool"),
+            pytest.param(lambda c: c.update(master_seed=True), id="master_seed_bool"),
+            pytest.param(lambda c: c.update(checkpoints_per_decade=True),
+                         id="checkpoints_per_decade_bool"),
+            pytest.param(lambda c: c.update(instance={"k": True, "means": "uniform"}),
+                         id="k_bool"),
+            # json.load accepts NaN and Infinity
+            pytest.param(lambda c: c.update(corruption={"scheme": "consecutive",
+                                                        "budget": float("nan")}),
+                         id="budget_nan"),
+            pytest.param(lambda c: c.update(corruption={"scheme": "consecutive",
+                                                        "budget": float("inf")}),
+                         id="budget_inf"),
+            pytest.param(lambda c: c.update(corruption={"scheme": "consecutive",
+                                                        "budget": 10**400}),
+                         id="budget_beyond_float"),
+            pytest.param(lambda c: c.update(corruption={"scheme": "consecutive", "budget": 5,
+                                                        "per_step_cost": float("nan")}),
+                         id="per_step_cost_nan"),
+            pytest.param(lambda c: c.update(corruption={"scheme": "consecutive", "budget": 5,
+                                                        "per_step_cost": float("inf")}),
+                         id="per_step_cost_inf"),
         ],
     )
     def test_config_errors_exit_2(self, tmp_path, mutate):
@@ -84,6 +112,13 @@ class TestRun:
         mutate(payload)
         cfg = write_config(tmp_path, payload)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "bench"])
+    def test_fast_flag_only_for_verify(self, tmp_path, command):
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--fast"])
+        assert exc.value.code == 2
 
     def test_budget_exceeding_capacity_exit_2(self, tmp_path):
         payload = {**BASE_CONFIG, "horizon": 100,
@@ -204,6 +239,13 @@ class TestBench:
             assert float(row.split(",")[1]) > 0
 
 
+    @pytest.mark.parametrize("seed", ["abc", True, -1])
+    def test_bad_master_seed_exit_2(self, tmp_path, seed):
+        payload = {"schema_version": 1, "horizon": 100, "master_seed": seed}
+        cfg = write_config(tmp_path, payload)
+        assert main(["bench", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+
+
 class TestVerifyCommand:
     # full-size verification runs in the acceptance gate; --fast keeps the
     # command-level plumbing checks quick
@@ -233,6 +275,11 @@ class TestVerifyCommand:
 
     def test_bad_alpha_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, {**self.CONFIG, "alpha": 1.5})
+        assert main(["verify", "--config", cfg, "--fast"]) == 2
+
+    @pytest.mark.parametrize("seed", ["abc", True])
+    def test_bad_master_seed_exit_2(self, tmp_path, seed):
+        cfg = write_config(tmp_path, {**self.CONFIG, "master_seed": seed})
         assert main(["verify", "--config", cfg, "--fast"]) == 2
 
 

@@ -1,9 +1,20 @@
 import numpy as np
 import pytest
 
-from banditlab.adversary import CorruptionPlan
-from banditlab.core import make_instance
+from banditlab.adversary import (
+    SCHEMES,
+    STRATEGIES,
+    CorruptionPlan,
+    apply_corruption,
+    make_ledger,
+    resolve_corruption,
+)
+from banditlab.baselines import make_policy
+from banditlab.core import checkpoint_grid, make_instance
 from banditlab.engine import (
+    _ADVERSARY,
+    _ENV,
+    _POLICY,
     GENERATOR_NAME,
     AlgorithmSpec,
     ExperimentConfig,
@@ -130,6 +141,85 @@ class TestRunEpisode:
 
     def test_records_algorithm_name(self):
         assert self._run().algorithm == "samba"
+
+
+def reference_episode(policy, instance, plan, horizon, seed, per_step_cost, checkpoints):
+    """The per-round loop run_episode replaced: apply_corruption on every round."""
+    env_rng = make_stream(split_seed(seed, _ENV))
+    policy_rng = make_stream(split_seed(seed, _POLICY))
+    adv_rng = make_stream(split_seed(seed, _ADVERSARY))
+    ledger = make_ledger(instance, plan, per_step_cost, adv_rng)
+    uniforms = env_rng.random(horizon)
+    arms = np.zeros(horizon, dtype=np.int32)
+    rewards = np.zeros(horizon, dtype=np.int8)
+    costs = np.zeros(horizon, dtype=np.float64)
+    per_round = {}
+    cum_regret = 0.0
+    curve = []
+    for t in range(horizon):
+        means, cost = apply_corruption(instance, ledger, t)
+        if cost:
+            per_round[t] = (means, cost)
+        arm = policy.select(policy_rng)
+        reward = 1 if uniforms[t] < means[arm] else 0
+        policy.update(arm, reward)
+        arms[t] = arm
+        rewards[t] = reward
+        costs[t] = cost
+        cum_regret += instance.gaps[arm]
+        if t + 1 in checkpoints:
+            curve.append((t + 1, cum_regret))
+    return arms, rewards, costs, curve, per_round, ledger.spent
+
+
+class TestResolvedCorruptionMatchesPerRoundLoop:
+    HORIZON = 400
+    MEANS = (0.2, 0.5, 0.9)
+
+    # (budget, per_step_cost): the strategy's default cost; a budget that is
+    # not a multiple of the cost (a residual last round); a cost above the
+    # best mean (the shift is clipped at 0, and at 1 for the worst arm).
+    @pytest.mark.parametrize("budget,per_step_cost", [(8.0, None), (7.3, 0.25), (6.0, 1.5)])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_identical_episodes(self, scheme, strategy, budget, per_step_cost):
+        instance = make_instance(self.MEANS)
+        plan = CorruptionPlan(
+            scheme=scheme,
+            budget=budget,
+            strategy=strategy,
+            horizon=self.HORIZON,
+            custom_rounds=tuple(range(7, self.HORIZON, 11)),
+        )
+        checkpoints = checkpoint_grid(self.HORIZON)
+        for algorithm, params in (("samba", {"alpha": 0.05}), ("barbar", {})):
+            for seed in (3, 4):
+                ref_policy = make_policy(algorithm, 3, params, c_known=budget, horizon=self.HORIZON)
+                arms, rewards, costs, curve, per_round, spent = reference_episode(
+                    ref_policy, instance, plan, self.HORIZON, seed, per_step_cost, set(checkpoints)
+                )
+                policy = make_policy(algorithm, 3, params, c_known=budget, horizon=self.HORIZON)
+                trace = run_episode(
+                    policy,
+                    instance,
+                    plan,
+                    self.HORIZON,
+                    seed,
+                    checkpoints=checkpoints,
+                    per_step_cost=per_step_cost,
+                )
+                assert (trace.arms == arms).all()
+                assert (trace.rewards == rewards).all()
+                assert trace.costs.tobytes() == costs.tobytes()
+                assert trace.checkpoints == curve
+                assert trace.spent() == float(costs.sum())
+
+                adv_rng = make_stream(split_seed(seed, _ADVERSARY))
+                ledger = make_ledger(instance, plan, per_step_cost, adv_rng)
+                assert resolve_corruption(instance, ledger) == per_round
+                assert ledger.spent == spent
+                if scheme != "none":
+                    assert spent > 0
 
 
 class TestRunBatch:
