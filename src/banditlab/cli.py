@@ -22,8 +22,8 @@ import sys
 import time
 
 from . import __version__
-from .adversary import SCHEMES, STRATEGIES, BudgetExceedsHorizonCapacity
-from .baselines import ALGORITHMS
+from .adversary import SCHEMES, STRATEGIES, BudgetExceedsHorizonCapacity, default_per_step_cost
+from .baselines import ALGORITHMS, make_policy
 from .core import BanditLabError, make_instance
 from .engine import (
     GENERATOR_NAME,
@@ -91,6 +91,22 @@ def _master_seed(cfg: dict, args, default: int) -> int:
     return seed
 
 
+def _threads(requested: int | None) -> int:
+    """Worker count: ``--threads``, else ``BANDITLAB_THREADS``, else all cores."""
+    source, raw = "--threads", requested
+    if raw is None:
+        source, raw = "BANDITLAB_THREADS", os.environ.get("BANDITLAB_THREADS")
+    if raw is None or raw == "":
+        return resolve_threads(None)
+    try:
+        count = int(raw)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ConfigError(f"{source} must be a positive integer, got {raw!r}")
+    return count
+
+
 def _as_list(value) -> list:
     return value if isinstance(value, list) else [value]
 
@@ -123,7 +139,7 @@ def _parse_instances(cfg: dict, *, allow_grid: bool) -> tuple[InstanceSpec, ...]
     raise ConfigError("'instance' must give explicit 'means' or k with means='uniform'")
 
 
-def _parse_plans(cfg: dict) -> tuple[PlanSpec, ...]:
+def _parse_plans(cfg: dict, instances: tuple[InstanceSpec, ...]) -> tuple[PlanSpec, ...]:
     raw = cfg.get("corruption")
     if raw is None:
         return (PlanSpec(),)
@@ -135,6 +151,13 @@ def _parse_plans(cfg: dict) -> tuple[PlanSpec, ...]:
     per_step = raw.get("per_step_cost")
     if per_step is not None and (not _is_finite(per_step) or per_step <= 0):
         raise ConfigError("'per_step_cost' must be a finite positive number or omitted")
+    # Above the strategy's largest shift every round would under-spend. Explicit
+    # means give one instance; uniform means are drawn per replication, unchecked.
+    if per_step is not None and instances[0].means is not None:
+        reach = default_per_step_cost(make_instance(instances[0].means), strategy)
+        if per_step > reach:
+            raise ConfigError(f"'per_step_cost' {per_step!r} exceeds {reach!r}, the "
+                              f"largest shift {strategy!r} makes on these means")
     schemes = _as_list(raw.get("schemes", raw.get("scheme", "none")))
     budgets = _as_list(raw.get("budgets", raw.get("budget", 0.0)))
     if not schemes or not budgets:
@@ -171,6 +194,10 @@ def _parse_algorithms(cfg: dict) -> tuple[AlgorithmSpec, ...]:
         params = entry.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError("'params' must be an object")
+        try:  # no policy's params depend on the arm count
+            make_policy(name, 2, params)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad params for {name!r}: {exc}")
         specs.append(AlgorithmSpec.of(name, params, entry.get("label")))
     return tuple(specs)
 
@@ -186,9 +213,10 @@ def _parse_experiment(cfg: dict, args, *, allow_grid: bool) -> ExperimentConfig:
     per_decade = cfg.get("checkpoints_per_decade", 20)
     if not _is_int(per_decade) or per_decade < 1:
         raise ConfigError("'checkpoints_per_decade' must be a positive integer")
+    instances = _parse_instances(cfg, allow_grid=allow_grid)
     return ExperimentConfig(
-        instances=_parse_instances(cfg, allow_grid=allow_grid),
-        plans=_parse_plans(cfg),
+        instances=instances,
+        plans=_parse_plans(cfg, instances),
         algorithms=_parse_algorithms(cfg),
         horizon=horizon,
         replications=reps,
@@ -252,14 +280,13 @@ def write_bench_csv(path: str, rows: list[BenchRow]) -> None:
 def _cmd_run(args, *, allow_grid: bool) -> int:
     cfg = _load_json(args.config)
     experiment = _parse_experiment(cfg, args, allow_grid=allow_grid)
-    threads = resolve_threads(args.threads)
-    stats = run_batch(experiment, threads=threads)
+    stats = run_batch(experiment, threads=args.threads)
     out = args.out
     os.makedirs(out, exist_ok=True)
     write_results_csv(os.path.join(out, "results.csv"), stats)
     write_curves_csv(os.path.join(out, "curves.csv"), stats)
     _write_manifest(
-        out, cfg, experiment.master_seed, threads, ["results.csv", "curves.csv"]
+        out, cfg, experiment.master_seed, args.threads, ["results.csv", "curves.csv"]
     )
     print(f"wrote {len(stats.cells)} cells x {experiment.replications} replications to {out}")
     return 0
@@ -289,7 +316,7 @@ def _cmd_bench(args) -> int:
     out = args.out
     os.makedirs(out, exist_ok=True)
     write_bench_csv(os.path.join(out, "bench.csv"), rows)
-    _write_manifest(out, cfg, seed, resolve_threads(args.threads), ["bench.csv"])
+    _write_manifest(out, cfg, seed, args.threads, ["bench.csv"])
     for row in rows:
         print(f"{row.algorithm:12s} {row.mean_s:8.4f}s +/- {row.sd_s:.4f} ratio {row.step_ratio:.2f}")
     return 0
@@ -323,7 +350,7 @@ def _cmd_verify(args) -> int:
         replications=sizes.fit_reps,
         master_seed=seed,
     )
-    stats = run_batch(fit_config, threads=resolve_threads(args.threads))
+    stats = run_batch(fit_config, threads=args.threads)
     log_curve = [(t, m) for t, m, _ in stats.cells[0].curve]
 
     outcomes = run_verification_suite(
@@ -382,6 +409,7 @@ def main(argv=None) -> int:
         print("error: --config is required for run/sweep", file=sys.stderr)
         return 2
     try:
+        args.threads = _threads(args.threads)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,9 +1,9 @@
-"""Core types for stochastic bandit instances, traces, and regret accounting.
+"""Core types for stochastic bandit instances, episode traces, and regret accounting.
 
 Rewards are Bernoulli in {0, 1}. Regret is always measured against the
-instance's *true* means, regardless of any reward tampering recorded in a
-trace: the cost fields describe what an adversary spent, never what the
-learner is charged.
+instance's *true* means, regardless of any corruption of the rewards: a
+trace's spend describes what the adversary paid, never what the learner is
+charged.
 """
 
 from __future__ import annotations
@@ -115,46 +115,24 @@ def draw_reward(mean: float, rng: np.random.Generator) -> int:
     return 1 if rng.random() < mean else 0
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    """What happened in one simulated round."""
-
-    t: int
-    arm: int
-    reward: int
-    cost: float
-
-
 @dataclass
 class Trace:
-    """Full per-round record of one episode plus regret checkpoints.
+    """What an episode reports: regret checkpoints and the adversary's spend.
 
-    ``arms``/``rewards``/``costs`` all have length T. ``checkpoints`` holds
-    ``(t, cumulative pseudo-regret after t rounds)`` pairs on a sparse grid
-    (always including T) so long-horizon curves stay small.
+    ``checkpoints`` holds ``(t, cumulative pseudo-regret after t rounds)``
+    pairs on a sparse grid (always including T) so long-horizon curves stay
+    small. ``realized_spend`` is the corruption cost the episode's ledger
+    charged, summed round by round in schedule order.
     """
 
     instance: BanditInstance
     algorithm: str
     seed: int
-    arms: np.ndarray
-    rewards: np.ndarray
-    costs: np.ndarray
     checkpoints: list[tuple[int, float]] = field(default_factory=list)
-
-    @property
-    def horizon(self) -> int:
-        return len(self.arms)
-
-    def record(self, t: int) -> RoundRecord:
-        if not 0 <= t < self.horizon:
-            raise IndexError(f"round {t} outside horizon {self.horizon}")
-        return RoundRecord(
-            t=t, arm=int(self.arms[t]), reward=int(self.rewards[t]), cost=float(self.costs[t])
-        )
+    realized_spend: float = 0.0
 
     def spent(self) -> float:
-        return float(self.costs.sum())
+        return self.realized_spend
 
 
 def pseudo_regret(arms: Sequence[int] | np.ndarray, instance: BanditInstance) -> float:

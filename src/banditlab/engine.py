@@ -145,13 +145,15 @@ def run_episode(
     per_step_cost: float | None = None,
     stamps: dict[int, float] | None = None,
 ) -> Trace:
-    """Simulate one episode and return its full trace.
+    """Simulate one episode and return its regret checkpoints and spend.
 
-    Round protocol: corrupt the means, let the policy pick an arm, draw the
-    reward from the *corrupted* mean, feed it back, record. Pseudo-regret
-    checkpoints accumulate true-mean gaps only; those outside [1, horizon]
-    are ignored. The adversary is oblivious, so its corruption of every
-    round is resolved before round 0 and the loop only looks it up.
+    Round protocol: the policy picks an arm, the reward is drawn from that
+    round's *corrupted* mean and fed back to the policy, and the arm's
+    true-mean gap is added to the pseudo-regret. The adversary is oblivious,
+    so its corruption of every round, and the spend its ledger charges, are
+    resolved before round 0 and the loop only looks the means up.
+    Checkpoints outside [1, horizon] are ignored. Per-round arms and rewards
+    are not kept; a policy wrapper sees each pair through ``update``.
 
     ``stamps``, if given, maps round indexes in [0, horizon] to be timed: each
     key gets the ``time.perf_counter()`` reading taken when the loop reaches
@@ -160,17 +162,13 @@ def run_episode(
     env_rng = make_stream(split_seed(seed, _ENV))
     policy_rng = make_stream(split_seed(seed, _POLICY))
     adv_rng = make_stream(split_seed(seed, _ADVERSARY))
-    corrupted = resolve_corruption(instance, make_ledger(instance, plan, per_step_cost, adv_rng))
+    ledger = make_ledger(instance, plan, per_step_cost, adv_rng)
+    means_at = [instance.means] * horizon
+    for t, (means, _) in resolve_corruption(instance, ledger).items():
+        means_at[t] = means
 
     if checkpoints is None:
         checkpoints = checkpoint_grid(horizon)
-    arms = np.zeros(horizon, dtype=np.int32)
-    rewards = np.zeros(horizon, dtype=np.int8)
-    costs = np.zeros(horizon, dtype=np.float64)
-    means_at = [instance.means] * horizon
-    for t, (means, cost) in corrupted.items():
-        means_at[t] = means
-        costs[t] = cost
     uniforms = env_rng.random(horizon).tolist()
     gaps = instance.gaps
 
@@ -190,8 +188,6 @@ def run_episode(
             arm = select(policy_rng)
             reward = 1 if uniforms[t] < means_at[t][arm] else 0
             update(arm, reward)
-            arms[t] = arm
-            rewards[t] = reward
             cum_regret += gaps[arm]
         t0 = stop
         if stamps is not None and stop in stamps:
@@ -203,10 +199,8 @@ def run_episode(
         instance=instance,
         algorithm=getattr(policy, "name", type(policy).__name__),
         seed=seed,
-        arms=arms,
-        rewards=rewards,
-        costs=costs,
         checkpoints=curve,
+        realized_spend=ledger.spent,
     )
 
 

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import BanditInstance, BanditLabError, InstanceTooLarge
-from .samba import SambaState, samba_init, samba_leader, samba_select, samba_update
+from .samba import SambaState, samba_init, samba_select, samba_update
 
 
 class PrepFailure(BanditLabError, RuntimeError):
@@ -360,26 +360,22 @@ def check_drift_leader(
 def tampered_update(state: SambaState, pulled: int, reward: int) -> SambaState:
     """Deliberately broken update rule so the drift checks can be shown to fail.
 
-    Same bookkeeping as samba_update except a rewarded non-leader pull
-    *shrinks* instead of grows: mass drains toward whoever currently leads,
-    so in a suppressed-best-arm state 1/p* drifts upward and the non-leader
-    checks go red. Wired to the CLI's hidden ``--tamper-update`` flag.
+    samba_update except that a rewarded non-leader pull *shrinks* by the
+    factor (1 - alpha) instead of growing by (1 + alpha): mass drains toward
+    whoever currently leads, so in a suppressed-best-arm state 1/p* drifts
+    upward and the non-leader checks go red. Wired to the CLI's hidden
+    ``--tamper-update`` flag.
     """
-    if reward == 0:
-        return state
-    p = state.p
-    lead = state.leader
+    if reward == 0 or pulled == state.leader:
+        return samba_update(state, pulled, reward)
+    # The non-leader branch multiplies by 1.0 + alpha, which is exactly
+    # 1.0 - alpha when the step size is negated for this one call.
     alpha = state.alpha
-    if pulled == lead:
-        p_lead = p[lead]
-        for a in range(len(p)):
-            if a != lead:
-                p[a] -= alpha * p[a] * p[a] / p_lead
-    else:
-        p[pulled] *= 1.0 - alpha
-    p[lead] = 1.0 - sum(v for a, v in enumerate(p) if a != lead)
-    state.leader = samba_leader(p)
-    return state
+    state.alpha = -alpha
+    try:
+        return samba_update(state, pulled, reward)
+    finally:
+        state.alpha = alpha
 
 
 # ---------------------------------------------------------------------------

@@ -105,12 +105,47 @@ class TestRun:
             pytest.param(lambda c: c.update(corruption={"scheme": "consecutive", "budget": 5,
                                                         "per_step_cost": float("inf")}),
                          id="per_step_cost_inf"),
+            # policy params are checked against the constructors before any run
+            pytest.param(lambda c: c.update(algorithms=[{"algorithm": "samba",
+                                                         "params": {"alpah": 0.05}}]),
+                         id="params_unknown_name"),
+            pytest.param(lambda c: c.update(algorithms=[{"algorithm": "samba",
+                                                         "params": {"alpha": 1.5}}]),
+                         id="params_alpha_out_of_range"),
+            pytest.param(lambda c: c.update(algorithms=[{"algorithm": "tsallis_inf",
+                                                         "params": {"eta_scale": "big"}}]),
+                         id="params_wrong_type"),
+            # swap_extremes can shift at most max(0.9, 1 - 0.2) = 0.9 per round:
+            # a larger per-step cost would spend 3.6 of a budget of 6
+            pytest.param(lambda c: c.update(instance={"means": [0.2, 0.9]},
+                                            corruption={"scheme": "consecutive", "budget": 6,
+                                                        "strategy": "swap_extremes",
+                                                        "per_step_cost": 1.5}),
+                         id="per_step_cost_above_reach"),
         ],
     )
     def test_config_errors_exit_2(self, tmp_path, mutate):
         payload = json.loads(json.dumps(BASE_CONFIG))
         mutate(payload)
         cfg = write_config(tmp_path, payload)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    def test_per_step_cost_at_reach_runs(self, tmp_path):
+        payload = {**BASE_CONFIG, "instance": {"means": [0.2, 0.9]},
+                   "corruption": {"scheme": "consecutive", "budget": 6,
+                                  "strategy": "swap_extremes", "per_step_cost": 0.9}}
+        cfg = write_config(tmp_path, payload)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exit_2(self, tmp_path, threads):
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--threads", threads]) == 2
+
+    def test_non_integer_threads_env_exit_2(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("BANDITLAB_THREADS", "abc")
+        cfg = write_config(tmp_path, BASE_CONFIG)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
     @pytest.mark.parametrize("command", ["run", "sweep", "bench"])

@@ -117,31 +117,13 @@ class TestPseudoRegret:
 
 
 class TestTrace:
-    def _trace(self, horizon=10):
-        inst = make_instance((0.9, 0.5))
-        return Trace(
-            instance=inst,
-            algorithm="samba",
-            seed=1,
-            arms=np.zeros(horizon, dtype=np.int32),
-            rewards=np.ones(horizon, dtype=np.int8),
-            costs=np.full(horizon, 0.25),
-        )
+    def _trace(self, **over):
+        return Trace(instance=make_instance((0.9, 0.5)), algorithm="samba", seed=1, **over)
 
-    def test_round_record(self):
-        tr = self._trace()
-        rec = tr.record(3)
-        assert (rec.t, rec.arm, rec.reward, rec.cost) == (3, 0, 1, 0.25)
-
-    def test_horizon_and_spent(self):
-        tr = self._trace(horizon=8)
-        assert tr.horizon == 8
-        assert tr.spent() == pytest.approx(2.0)
-
-    def test_out_of_range_round(self):
-        tr = self._trace()
-        with pytest.raises(IndexError):
-            tr.record(10)
+    def test_spent(self):
+        assert self._trace(realized_spend=2.0).spent() == 2.0
+        assert self._trace().spent() == 0.0
+        assert self._trace().checkpoints == []
 
 
 class TestCheckpointGrid:

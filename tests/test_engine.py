@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from banditlab import engine
 from banditlab.adversary import (
     SCHEMES,
     STRATEGIES,
@@ -90,43 +91,75 @@ class TestInstanceSpec:
         assert all(0.0 <= m <= 1.0 for m in a.means)
 
 
+class RecordingPolicy:
+    """Wraps a policy and keeps every (arm, reward) pair run_episode feeds back."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+        self.arms = []
+        self.rewards = []
+
+    def select(self, rng):
+        return self.inner.select(rng)
+
+    def update(self, arm, reward):
+        self.inner.update(arm, reward)
+        self.arms.append(arm)
+        self.rewards.append(reward)
+
+
+@pytest.fixture
+def resolved_tables(monkeypatch):
+    """Every corruption table run_episode resolves, in call order."""
+    tables = []
+
+    def capture(instance, ledger):
+        tables.append(resolve_corruption(instance, ledger))
+        return tables[-1]
+
+    monkeypatch.setattr(engine, "resolve_corruption", capture)
+    return tables
+
+
 class TestRunEpisode:
-    def _run(self, seed=7, budget=10.0, algorithm=None):
+    def _run(self, seed=7, budget=10.0):
         inst = make_instance((0.2, 0.5, 0.9))
         plan = CorruptionPlan(scheme="consecutive", budget=budget, horizon=400)
-        policy = algorithm or SambaPolicy(3, alpha=0.05)
-        return run_episode(policy, inst, plan, 400, seed)
+        policy = RecordingPolicy(SambaPolicy(3, alpha=0.05))
+        return run_episode(policy, inst, plan, 400, seed), policy
 
-    def test_shapes_and_ranges(self):
-        tr = self._run()
-        assert tr.horizon == 400
-        assert set(np.unique(tr.arms)) <= {0, 1, 2}
-        assert set(np.unique(tr.rewards)) <= {0, 1}
-        assert (tr.costs >= 0).all()
+    def test_shapes_and_ranges(self, resolved_tables):
+        _, rec = self._run()
+        assert len(rec.arms) == len(rec.rewards) == 400
+        assert set(rec.arms) <= {0, 1, 2}
+        assert set(rec.rewards) <= {0, 1}
+        (table,) = resolved_tables
+        assert table and all(cost >= 0 for _, cost in table.values())
 
     def test_deterministic_for_seed(self):
-        a, b = self._run(seed=3), self._run(seed=3)
-        assert (a.arms == b.arms).all()
-        assert (a.rewards == b.rewards).all()
+        (a, rec_a), (b, rec_b) = self._run(seed=3), self._run(seed=3)
+        assert rec_a.arms == rec_b.arms
+        assert rec_a.rewards == rec_b.rewards
         assert a.checkpoints == b.checkpoints
 
     def test_different_seeds_differ(self):
-        a, b = self._run(seed=3), self._run(seed=4)
-        assert (a.arms != b.arms).any()
+        (_, rec_a), (_, rec_b) = self._run(seed=3), self._run(seed=4)
+        assert rec_a.arms != rec_b.arms
 
     def test_spent_respects_budget(self):
-        tr = self._run(budget=7.3)
+        tr, _ = self._run(budget=7.3)
         assert tr.spent() <= 7.3 + 1e-9
         assert tr.spent() >= 7.3 - 0.9
 
     def test_curve_ends_at_horizon_total(self):
-        tr = self._run()
+        tr, rec = self._run()
         t_last, regret_last = tr.checkpoints[-1]
         assert t_last == 400
         gaps = np.asarray(tr.instance.gaps)
-        assert regret_last == pytest.approx(float(gaps[tr.arms].sum()))
+        assert regret_last == pytest.approx(float(gaps[rec.arms].sum()))
 
-    def test_corruption_stream_isolated_from_policy(self):
+    def test_corruption_stream_isolated_from_policy(self, resolved_tables):
         # same seed, different policies: the adversary must spend on the
         # exact same rounds because its stream is independent of the
         # policy's draws
@@ -136,11 +169,13 @@ class TestRunEpisode:
         from banditlab.baselines import TsallisInfPolicy
 
         tr_b = run_episode(TsallisInfPolicy(3), inst, plan, 400, 21)
-        assert (tr_a.costs == tr_b.costs).all()
+        table_a, table_b = resolved_tables
+        assert table_a == table_b
+        assert tr_a.spent() == tr_b.spent()
         assert tr_a.spent() > 0
 
     def test_records_algorithm_name(self):
-        assert self._run().algorithm == "samba"
+        assert self._run()[0].algorithm == "samba"
 
 
 def reference_episode(policy, instance, plan, horizon, seed, per_step_cost, checkpoints):
@@ -152,7 +187,6 @@ def reference_episode(policy, instance, plan, horizon, seed, per_step_cost, chec
     uniforms = env_rng.random(horizon)
     arms = np.zeros(horizon, dtype=np.int32)
     rewards = np.zeros(horizon, dtype=np.int8)
-    costs = np.zeros(horizon, dtype=np.float64)
     per_round = {}
     cum_regret = 0.0
     curve = []
@@ -165,11 +199,10 @@ def reference_episode(policy, instance, plan, horizon, seed, per_step_cost, chec
         policy.update(arm, reward)
         arms[t] = arm
         rewards[t] = reward
-        costs[t] = cost
         cum_regret += instance.gaps[arm]
         if t + 1 in checkpoints:
             curve.append((t + 1, cum_regret))
-    return arms, rewards, costs, curve, per_round, ledger.spent
+    return arms, rewards, curve, per_round, ledger.spent
 
 
 class TestResolvedCorruptionMatchesPerRoundLoop:
@@ -182,7 +215,7 @@ class TestResolvedCorruptionMatchesPerRoundLoop:
     @pytest.mark.parametrize("budget,per_step_cost", [(8.0, None), (7.3, 0.25), (6.0, 1.5)])
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_identical_episodes(self, scheme, strategy, budget, per_step_cost):
+    def test_identical_episodes(self, scheme, strategy, budget, per_step_cost, resolved_tables):
         instance = make_instance(self.MEANS)
         plan = CorruptionPlan(
             scheme=scheme,
@@ -195,10 +228,12 @@ class TestResolvedCorruptionMatchesPerRoundLoop:
         for algorithm, params in (("samba", {"alpha": 0.05}), ("barbar", {})):
             for seed in (3, 4):
                 ref_policy = make_policy(algorithm, 3, params, c_known=budget, horizon=self.HORIZON)
-                arms, rewards, costs, curve, per_round, spent = reference_episode(
+                arms, rewards, curve, per_round, spent = reference_episode(
                     ref_policy, instance, plan, self.HORIZON, seed, per_step_cost, set(checkpoints)
                 )
-                policy = make_policy(algorithm, 3, params, c_known=budget, horizon=self.HORIZON)
+                policy = RecordingPolicy(
+                    make_policy(algorithm, 3, params, c_known=budget, horizon=self.HORIZON)
+                )
                 trace = run_episode(
                     policy,
                     instance,
@@ -208,11 +243,12 @@ class TestResolvedCorruptionMatchesPerRoundLoop:
                     checkpoints=checkpoints,
                     per_step_cost=per_step_cost,
                 )
-                assert (trace.arms == arms).all()
-                assert (trace.rewards == rewards).all()
-                assert trace.costs.tobytes() == costs.tobytes()
+                assert policy.arms == arms.tolist()
+                assert policy.rewards == rewards.tolist()
+                # Per-round costs: the resolved table's, zero on every other round.
+                assert resolved_tables[-1] == per_round
                 assert trace.checkpoints == curve
-                assert trace.spent() == float(costs.sum())
+                assert trace.spent() == spent
 
                 adv_rng = make_stream(split_seed(seed, _ADVERSARY))
                 ledger = make_ledger(instance, plan, per_step_cost, adv_rng)

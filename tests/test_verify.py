@@ -190,6 +190,17 @@ class TestDriftChecks:
         assert not report.passed
         assert report.mean_drift > 0  # mass drains away from the best arm
 
+    def test_tampered_update_differs_only_on_rewarded_nonleader_pull(self):
+        p = [0.2, 0.3, 0.5]
+        state = tampered_update(samba_from_probabilities(p, 0.05), 0, 1)
+        assert state.p[0] == 0.2 * (1.0 - 0.05)
+        assert state.p[2] == 1.0 - (state.p[0] + state.p[1])
+        assert (state.leader, state.alpha) == (2, 0.05)
+        for pulled, reward in ((2, 1), (0, 0)):
+            tampered = tampered_update(samba_from_probabilities(p, 0.05), pulled, reward)
+            clean = samba_update(samba_from_probabilities(p, 0.05), pulled, reward)
+            assert (tampered.p, tampered.leader) == (clean.p, clean.leader)
+
     def test_invalid_alpha_rejected(self):
         with pytest.raises(ValueError):
             check_drift_nonleader(ladder(), 0.2, samples=100, rng=rng(9))
