@@ -3,16 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from banditlab.adversary import CorruptionPlan
 from banditlab.baselines import (
     ALGORITHMS,
     BarbarPolicy,
     CBarbarPolicy,
     FastSlowEliminationPolicy,
     TsallisInfPolicy,
+    _solve_weight_scale,
     make_policy,
     tsallis_solve_normalization,
 )
-from banditlab.core import KTooSmall
+from banditlab.core import KTooSmall, make_instance
+from banditlab.engine import run_episode
 from banditlab.samba import SambaPolicy
 
 
@@ -184,6 +187,12 @@ class TestBarbar:
         pol.select(rng(31))
         assert pol.phase_lengths[0] == sum(pol._targets)
 
+    @pytest.mark.parametrize("cls", [BarbarPolicy, CBarbarPolicy])
+    @pytest.mark.parametrize("delta", [0.0, 1.0, 5.0, -0.1, math.nan])
+    def test_rejects_delta_outside_unit_interval(self, cls, delta):
+        with pytest.raises(ValueError):
+            cls(3, delta=delta)
+
 
 class TestCBarbar:
     def test_estimates_decay_at_most_geometrically(self):
@@ -305,3 +314,271 @@ class TestMakePolicy:
     def test_c_known_reaches_elimination_race(self):
         pol = make_policy("fs_aae", 3, c_known=123.0, horizon=1000)
         assert pol.c_known == 123.0
+
+
+# ---------------------------------------------------------------------------
+# The incremental fs_aae and tsallis_inf kernels against full per-round copies
+# ---------------------------------------------------------------------------
+
+
+class ReferenceFastSlow:
+    """fs_aae recomputing every mean and radius and refiltering both layers on
+    every update: the kernel FastSlowEliminationPolicy must match exactly."""
+
+    name = "fs_aae"
+
+    def __init__(self, k: int, c_known: float = 0.0, delta: float = 1e-5, slow_share: float = 0.25):
+        if k < 2:
+            raise KTooSmall(f"need at least 2 arms, got {k}")
+        if not 0.0 < delta < 1.0:
+            raise ValueError(f"delta must lie in (0, 1), got {delta}")
+        if c_known < 0.0:
+            raise ValueError(f"c_known must be >= 0, got {c_known}")
+        if not 0.0 <= slow_share <= 1.0:
+            raise ValueError(f"slow_share must lie in [0, 1], got {slow_share}")
+        self.k = k
+        self.c_known = float(c_known)
+        self.delta = float(delta)
+        self.slow_share = float(slow_share)
+        self._log_const = math.log(4.0 * k / delta)
+        self.counts = [0] * k
+        self.sums = [0.0] * k
+        self._mean = [0.0] * k
+        self._rad = [math.inf] * k
+        self.fast_active = list(range(k))
+        self.slow_active = list(range(k))
+
+    def select(self, rng: np.random.Generator) -> int:
+        pool = self.slow_active if rng.random() < self.slow_share else self.fast_active
+        counts = self.counts
+        best = pool[0]
+        for a in pool[1:]:
+            if counts[a] < counts[best]:
+                best = a
+        return best
+
+    def update(self, arm: int, reward: int) -> None:
+        self.counts[arm] += 1
+        self.sums[arm] += reward
+        n = self.counts[arm]
+        self._mean[arm] = self.sums[arm] / n
+        self._rad[arm] = math.sqrt((self._log_const + 2.0 * math.log(n)) / (2.0 * n))
+        self._eliminate()
+
+    def _eliminate(self) -> None:
+        mean, rad, c = self._mean, self._rad, self.c_known
+
+        slow_lcb = max(
+            mean[a] - rad[a] - c / self.counts[a]
+            for a in self.slow_active
+            if self.counts[a] > 0
+        ) if any(self.counts[a] > 0 for a in self.slow_active) else -math.inf
+        survivors = [
+            a
+            for a in self.slow_active
+            if self.counts[a] == 0 or mean[a] + rad[a] + c / self.counts[a] >= slow_lcb
+        ]
+        if len(survivors) != len(self.slow_active):
+            self.slow_active = survivors
+            self.fast_active = [a for a in self.fast_active if a in set(survivors)]
+
+        fast_lcb = max(
+            (mean[a] - rad[a] for a in self.fast_active if self.counts[a] > 0),
+            default=-math.inf,
+        )
+        self.fast_active = [
+            a for a in self.fast_active if self.counts[a] == 0 or mean[a] + rad[a] >= fast_lcb
+        ]
+        if not self.fast_active:
+            self.fast_active = list(self.slow_active)
+
+    def get_params(self) -> dict:
+        return {
+            "c_known": self.c_known,
+            "delta": self.delta,
+            "slow_share": self.slow_share,
+        }
+
+
+class ReferenceTsallis:
+    """tsallis_inf rebuilding the shifted losses and the whole weight vector every
+    round: the kernel TsallisInfPolicy must match exactly."""
+
+    name = "tsallis_inf"
+
+    def __init__(self, k: int, eta_scale: float = 1.0):
+        if k < 2:
+            raise KTooSmall(f"need at least 2 arms, got {k}")
+        if eta_scale <= 0:
+            raise ValueError(f"eta_scale must be > 0, got {eta_scale}")
+        self.k = k
+        self.eta_scale = float(eta_scale)
+        self.losses = [0.0] * k
+        self.t = 0
+        self._w: list[float] = [1.0 / k] * k
+        self._warm_y: float | None = None
+        self._warm_eta: float | None = None
+
+    @property
+    def weights(self) -> np.ndarray:
+        return np.asarray(self._w)
+
+    def select(self, rng: np.random.Generator) -> int:
+        self.t += 1
+        eta = self.eta_scale / math.sqrt(self.t)
+        base = min(self.losses)
+        z = [v - base for v in self.losses]
+        y0 = None
+        if self._warm_y is not None:
+            y0 = self._warm_y * (self._warm_eta / eta)
+        y = _solve_weight_scale(z, eta, y0)
+        self._warm_y, self._warm_eta = y, eta
+        coeff = 4.0 / (eta * eta)
+        w = [coeff / ((za + y) * (za + y)) for za in z]
+        self._w = w
+        u = rng.random()
+        acc = 0.0
+        for a in range(self.k - 1):
+            acc += w[a]
+            if u < acc:
+                return a
+        return self.k - 1
+
+    def update(self, arm: int, reward: int) -> None:
+        self.losses[arm] += (1.0 - reward) / self._w[arm]
+
+    def get_params(self) -> dict:
+        return {"eta_scale": self.eta_scale}
+
+
+class SnapshotPolicy:
+    """Passes calls through and keeps the arm and the policy's state after every update."""
+
+    def __init__(self, inner, snapshot):
+        self.inner = inner
+        self.name = inner.name
+        self.snapshot = snapshot
+        self.arms = []
+        self.states = []
+
+    def select(self, rng):
+        return self.inner.select(rng)
+
+    def update(self, arm, reward):
+        self.inner.update(arm, reward)
+        self.arms.append(arm)
+        self.states.append(self.snapshot(self.inner))
+
+
+def fs_state(pol):
+    return list(pol.counts), list(pol.sums), list(pol.fast_active), list(pol.slow_active)
+
+
+def tsallis_state(pol):
+    return list(pol.losses), pol.weights.tolist()
+
+
+class TestIncrementalKernelsMatchFullRecompute:
+    HORIZON = 3000
+    BUDGET = 60.0
+
+    @staticmethod
+    def spread_means(k):
+        # every gap a multiple of 1/k, in an order that is not sorted
+        return tuple(((7 * i) % k + 0.5) / k for i in range(k))
+
+    def episodes(self, policy, reference, k, scheme, snapshot):
+        instance = make_instance(self.spread_means(k))
+        plan = CorruptionPlan(scheme=scheme, budget=self.BUDGET, horizon=self.HORIZON)
+        out = []
+        for pol in (policy, reference):
+            rec = SnapshotPolicy(pol, snapshot)
+            trace = run_episode(rec, instance, plan, self.HORIZON, seed=11 * k)
+            out.append((rec, trace.checkpoints))
+        return out
+
+    @pytest.mark.parametrize("c_known", [0.0, BUDGET])
+    @pytest.mark.parametrize("scheme", ["none", "delayed_block", "consecutive"])
+    @pytest.mark.parametrize("k", [2, 6, 20])
+    def test_fs_aae(self, k, scheme, c_known):
+        delta = 1.0 / self.HORIZON
+        (new, new_curve), (ref, ref_curve) = self.episodes(
+            make_policy("fs_aae", k, c_known=c_known, horizon=self.HORIZON),
+            ReferenceFastSlow(k, c_known=c_known, delta=delta),
+            k,
+            scheme,
+            fs_state,
+        )
+        assert new.arms == ref.arms
+        assert new.states == ref.states
+        assert new_curve == ref_curve
+        assert len(ref.states[-1][2]) < k  # the fast layer eliminated something
+
+    @pytest.mark.parametrize("scheme", ["none", "delayed_block", "consecutive"])
+    @pytest.mark.parametrize("k", [2, 6, 20])
+    def test_tsallis_inf(self, k, scheme):
+        (new, new_curve), (ref, ref_curve) = self.episodes(
+            make_policy("tsallis_inf", k), ReferenceTsallis(k), k, scheme, tsallis_state
+        )
+        assert new.arms == ref.arms
+        assert new.states == ref.states
+        assert new_curve == ref_curve
+
+    def test_tsallis_update_before_select_and_repeated_updates(self):
+        new, ref = TsallisInfPolicy(4), ReferenceTsallis(4)
+        r_new, r_ref = rng(40), rng(40)
+        script = [(2, 0), None, (1, 0), (3, 1), (1, 0), None, (0, 0), (2, 0), None, None]
+        for step in script:
+            if step is None:
+                assert new.select(r_new) == ref.select(r_ref)
+            else:
+                new.update(*step)
+                ref.update(*step)
+            assert tsallis_state(new) == tsallis_state(ref)
+
+
+class TestFastSlowScriptedUpdates:
+    def test_slow_layer_eliminating_every_fast_survivor(self):
+        # Arm 1 pays first, so the fast layer locks onto it while the slow
+        # layer's +c/n widening keeps all three arms. Then arm 0 pays and arm
+        # 1 does not, until the slow layer drops arm 1: the fast layer is left
+        # empty and is reset to the slow survivors, unfiltered. The next call
+        # updates arm 1, which is in neither layer, and must still filter the
+        # reset layer: arm 2 leaves it.
+        pol = FastSlowEliminationPolicy(3, c_known=20.0, delta=0.1)
+        ref = ReferenceFastSlow(3, c_known=20.0, delta=0.1)
+
+        def feed(steps):
+            for arm, reward in steps:
+                pol.update(arm, reward)
+                ref.update(arm, reward)
+                assert (pol.fast_active, pol.slow_active) == (ref.fast_active, ref.slow_active)
+
+        feed([(0, 0), (1, 1), (2, 0)] * 60)
+        assert (pol.fast_active, pol.slow_active) == ([1], [0, 1, 2])
+        feed([(0, 1), (1, 0)] * 188 + [(0, 1)])
+        assert (pol.fast_active, pol.slow_active) == ([1], [0, 1, 2])
+        feed([(1, 0)])
+        assert (pol.fast_active, pol.slow_active) == ([0, 2], [0, 2])
+        feed([(1, 1)])
+        assert (pol.fast_active, pol.slow_active) == ([0], [0, 2])
+        feed([(0, 1), (2, 0), (0, 0)])
+
+    def test_random_update_sequences(self):
+        # Updates for any arm, also arms both layers dropped, with reward
+        # rates redrawn every 500 updates, so that layers shrink at many
+        # points: the sets after every call equal the reference's.
+        for seed in range(40):
+            r = rng(seed)
+            k = int(r.integers(2, 6))
+            c_known = float(r.choice([0.0, 2.0, 20.0]))
+            pol = FastSlowEliminationPolicy(k, c_known=c_known, delta=0.1)
+            ref = ReferenceFastSlow(k, c_known=c_known, delta=0.1)
+            for i in range(3000):
+                if i % 500 == 0:
+                    means = r.random(k)
+                arm = int(r.integers(k)) if r.random() < 0.3 else int(r.choice(ref.slow_active))
+                reward = int(r.random() < means[arm])
+                pol.update(arm, reward)
+                ref.update(arm, reward)
+                assert (pol.fast_active, pol.slow_active) == (ref.fast_active, ref.slow_active)

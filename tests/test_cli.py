@@ -115,6 +115,9 @@ class TestRun:
             pytest.param(lambda c: c.update(algorithms=[{"algorithm": "tsallis_inf",
                                                          "params": {"eta_scale": "big"}}]),
                          id="params_wrong_type"),
+            pytest.param(lambda c: c.update(algorithms=[{"algorithm": "barbar",
+                                                         "params": {"delta": 5}}]),
+                         id="params_barbar_delta_out_of_range"),
             # swap_extremes can shift at most max(0.9, 1 - 0.2) = 0.9 per round:
             # a larger per-step cost would spend 3.6 of a budget of 6
             pytest.param(lambda c: c.update(instance={"means": [0.2, 0.9]},
