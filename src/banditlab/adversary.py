@@ -8,15 +8,19 @@ corruption lands in time is fixed by a *schedule* built ahead of the run; how
 hard each scheduled round is hit is capped by ``per_step_cost`` and by
 whatever budget remains. An episode's whole corruption is therefore fixed by
 the instance, the plan, the per-step cost and the adversary stream, and the
-engine resolves it with :func:`resolve_corruption` before round 0;
-:func:`apply_corruption` is the same arithmetic one round at a time.
+engine resolves it with :func:`resolve_corruption_runs` before round 0, as
+runs of rounds that share one corrupted vector; :func:`resolve_corruption`
+gives the same as a per-round table, and :func:`apply_corruption` is the
+same arithmetic one round at a time.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -172,25 +176,55 @@ def make_ledger(
     return CorruptionLedger(plan=plan, per_step_cost=per_step_cost, schedule=schedule)
 
 
+def _shifted(means: tuple[float, ...], a_best: int, a_worst: int | None, shift: float):
+    """The corrupted vector for one shift and its cost max_a |r_a - r'_a|."""
+    shifted = list(means)
+    shifted[a_best] = max(0.0, means[a_best] - shift)
+    if a_worst is not None:
+        shifted[a_worst] = min(1.0, means[a_worst] + shift)
+    cost = max(abs(means[a] - shifted[a]) for a in range(len(means)))
+    return tuple(shifted), cost
+
+
 def _charge(
     instance: BanditInstance, ledger: CorruptionLedger, rounds: tuple[int, ...]
-) -> dict[int, tuple[tuple[float, ...], float]]:
+) -> list[tuple[tuple[int, ...], tuple[float, ...], float]]:
     """Corrupt scheduled ``rounds`` in order, charging each realized cost to the ledger.
 
     Each round shifts by ``min(per_step_cost, remaining budget)`` and costs
     max_a |r_a - r'_a|; rounds the budget no longer reaches are left out of
-    the result. The corrupted vector and its cost depend on the shift alone,
-    so they are recomputed only when the shift changes (the residual round).
+    the result, which is a list of runs ``(rounds, corrupted means, cost)``
+    in round order. While the remaining budget covers ``per_step_cost``,
+    every round takes the same full shift: that run is charged with one
+    sequential accumulate of its cost, and a bisect finds the first round
+    whose remaining budget falls below ``per_step_cost``. The residual and
+    clipped rounds after it are charged one at a time, their vector and cost
+    recomputed only when the shift changes.
     """
     means = instance.means
     a_best = instance.optimal_arm
-    swap = ledger.plan.strategy == "swap_extremes"
-    if swap:
+    a_worst = None
+    if ledger.plan.strategy == "swap_extremes":
         a_worst = min(range(len(means)), key=lambda a: (means[a], a))
     budget = ledger.plan.budget
     per_step = ledger.per_step_cost
     spent = ledger.spent
-    out = {}
+
+    def partial(spent: float) -> bool:
+        # The loop below would not give this round the full shift.
+        remaining = budget - spent
+        return remaining <= 0.0 or remaining < per_step
+
+    runs = []
+    if rounds and not partial(spent):
+        shifted, cost = _shifted(means, a_best, a_worst, per_step)
+        # spends[i] is the spend before rounds[i], summed in round order;
+        # it never falls, so partial() flips at most once along it.
+        spends = list(accumulate(repeat(cost, len(rounds)), initial=spent))
+        full = bisect_left(spends, True, hi=len(rounds), key=partial)
+        runs.append((rounds[:full], shifted, cost))
+        spent = spends[full]
+        rounds = rounds[full:]
     last_shift = hit = None
     for t in rounds:
         remaining = budget - spent
@@ -198,17 +232,12 @@ def _charge(
             break
         shift = remaining if remaining < per_step else per_step  # min(), minus the call
         if shift != last_shift:
-            shifted = list(means)
-            shifted[a_best] = max(0.0, means[a_best] - shift)
-            if swap:
-                shifted[a_worst] = min(1.0, means[a_worst] + shift)
-            cost = max(abs(means[a] - shifted[a]) for a in range(len(means)))
-            hit = (tuple(shifted), cost)
+            hit = _shifted(means, a_best, a_worst, shift)
             last_shift = shift
         spent += hit[1]
-        out[t] = hit
+        runs.append(((t,), *hit))
     ledger.spent = spent
-    return out
+    return runs
 
 
 def apply_corruption(
@@ -221,7 +250,8 @@ def apply_corruption(
     """
     if t not in ledger._scheduled:
         return instance.means, 0.0
-    return _charge(instance, ledger, (t,)).get(t, (instance.means, 0.0))
+    runs = _charge(instance, ledger, (t,))
+    return runs[0][1:] if runs else (instance.means, 0.0)
 
 
 def resolve_corruption(
@@ -235,5 +265,22 @@ def resolve_corruption(
     clipping, costs and sequential spend. Rounds missing from the result are
     clean (true means, zero cost). Returned vectors are shared and must be
     treated as read-only.
+    """
+    return {
+        t: (means, cost)
+        for rounds, means, cost in resolve_corruption_runs(instance, ledger)
+        for t in rounds
+    }
+
+
+def resolve_corruption_runs(
+    instance: BanditInstance, ledger: CorruptionLedger
+) -> list[tuple[tuple[int, ...], tuple[float, ...], float]]:
+    """:func:`resolve_corruption` as runs ``(rounds, corrupted means, cost)``.
+
+    The rounds of a run share one corrupted vector and one per-round cost;
+    runs are in round order, and together they cover exactly the rounds
+    :func:`resolve_corruption` returns. This compact form lets the engine
+    fill its per-round tables a run at a time.
     """
     return _charge(instance, ledger, ledger.schedule)

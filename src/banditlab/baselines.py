@@ -1,8 +1,12 @@
 """Baseline bandit policies sharing one engine-facing handle contract.
 
 Every policy exposes ``name``, ``select(rng) -> arm``, ``update(arm, reward)``
-and ``get_params() -> dict``. ``select``/``update`` are called exactly once
-per round, in that order, with the arm fed back verbatim.
+and ``get_params() -> dict``. The engine plays a policy round by round:
+``select`` then ``update`` with the arm fed back verbatim. A policy that
+fixes its arms ahead of their rewards (barbar, cbarbar) also exposes
+``commit(rng) -> arms`` and ``observe(arms, rewards)``; the engine then plays
+it a committed block at a time, and the results are identical to playing it
+round by round.
 """
 
 from __future__ import annotations
@@ -163,6 +167,14 @@ class BarbarPolicy:
     lie in (0, 1); the theoretical constant lambda ~ log(K/delta) is folded
     into ``lambda_scale``, whose small default keeps eight-plus phases inside
     a 1e5-round horizon.
+
+    No pull inside a phase depends on that phase's rewards, so besides
+    ``select``/``update`` the policy offers ``commit(rng)``, the arms its
+    phase still owes (starting the next phase first, as ``select`` would),
+    and ``observe(arms, rewards)``, which records a played prefix of them in
+    one pass. The engine plays it that way, one phase per numpy pass; the
+    phase state, gap estimates and policy stream end up exactly as with
+    ``select``/``update`` per round.
     """
 
     name = "barbar"
@@ -180,6 +192,7 @@ class BarbarPolicy:
         self.phase_index = 0
         self.gap_estimates = [1.0] * k
         self._targets = [0] * k
+        self._order = np.zeros(0, dtype=np.intp)
         self._schedule: list[int] = []
         self._pos = 0
         self._phase_sums = [0.0] * k
@@ -190,15 +203,18 @@ class BarbarPolicy:
         self.phase_index += 1
         lam = self.lambda_scale
         self._targets = [max(1, math.ceil(lam / (g * g))) for g in self.gap_estimates]
-        schedule: list[int] = []
-        for a, n in enumerate(self._targets):
-            schedule.extend([a] * n)
-        rng.shuffle(schedule)
-        self._schedule = schedule
+        # Shuffling the array takes the same draws, and gives the same
+        # permutation, as shuffling the list [0]*n_0 + [1]*n_1 + ... The
+        # array backs commit(); select() reads the list, whose items are ints.
+        order = np.repeat(np.arange(self.k, dtype=np.intp), self._targets)
+        rng.shuffle(order)
+        order.setflags(write=False)
+        self._order = order
+        self._schedule = order.tolist()
         self._pos = 0
         self._phase_sums = [0.0] * self.k
         self._phase_counts = [0] * self.k
-        self.phase_lengths.append(len(schedule))
+        self.phase_lengths.append(len(order))
 
     def _finish_phase(self) -> None:
         m = self.phase_index
@@ -215,17 +231,38 @@ class BarbarPolicy:
     def _refine(self, arm: int, floor: float, raw_gap: float) -> float:
         return max(floor, raw_gap)
 
+    def _next_phase(self, rng: np.random.Generator) -> None:
+        if self._schedule:
+            self._finish_phase()
+        self._start_phase(rng)
+
     def select(self, rng: np.random.Generator) -> int:
         if self._pos >= len(self._schedule):
-            if self._schedule:
-                self._finish_phase()
-            self._start_phase(rng)
+            self._next_phase(rng)
         return self._schedule[self._pos]
 
     def update(self, arm: int, reward: int) -> None:
         self._phase_sums[arm] += reward
         self._phase_counts[arm] += 1
         self._pos += 1
+
+    def commit(self, rng: np.random.Generator) -> np.ndarray:
+        """The arms the current phase still owes, in order (starting the next phase if done).
+
+        The result is a read-only view of the phase's schedule.
+        """
+        if self._pos >= len(self._schedule):
+            self._next_phase(rng)
+        return self._order[self._pos :]
+
+    def observe(self, arms: np.ndarray, rewards: np.ndarray) -> None:
+        """Record a played prefix of the last ``commit``: the same state as ``update`` per pull."""
+        k = self.k
+        counts = np.bincount(arms, minlength=k).tolist()
+        sums = np.bincount(arms, weights=rewards, minlength=k).tolist()
+        self._phase_counts = [c + n for c, n in zip(self._phase_counts, counts)]
+        self._phase_sums = [s + r for s, r in zip(self._phase_sums, sums)]
+        self._pos += len(arms)
 
     def get_params(self) -> dict:
         return {"lambda_scale": self.lambda_scale, "delta": self.delta}

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adversary import CorruptionPlan, make_ledger, resolve_corruption
+from .adversary import CorruptionPlan, make_ledger, resolve_corruption_runs
 from .baselines import make_policy
 from .core import BanditInstance, Trace, checkpoint_grid, make_instance
 from .samba import SambaPolicy
@@ -155,6 +155,11 @@ def run_episode(
     Checkpoints outside [1, horizon] are ignored. Per-round arms and rewards
     are not kept; a policy wrapper sees each pair through ``update``.
 
+    A policy with ``commit``/``observe`` (barbar, cbarbar) fixes its arms
+    ahead, so it is played a committed block at a time with numpy (see
+    :func:`_play_blocks`); every other policy is played round by round.
+    Both give the same checkpoints, spend and final policy state.
+
     ``stamps``, if given, maps round indexes in [0, horizon] to be timed: each
     key gets the ``time.perf_counter()`` reading taken when the loop reaches
     that round (``horizon``: after the last round).
@@ -163,37 +168,59 @@ def run_episode(
     policy_rng = make_stream(split_seed(seed, _POLICY))
     adv_rng = make_stream(split_seed(seed, _ADVERSARY))
     ledger = make_ledger(instance, plan, per_step_cost, adv_rng)
-    means_at = [instance.means] * horizon
-    for t, (means, _) in resolve_corruption(instance, ledger).items():
-        means_at[t] = means
+    # Each round's means as a row of a small table of the distinct vectors.
+    row_of = {instance.means: 0}
+    rows = np.zeros(horizon, dtype=np.intp)
+    for rounds, means, _ in resolve_corruption_runs(instance, ledger):
+        rows[np.array(rounds, dtype=np.intp)] = row_of.setdefault(means, len(row_of))
+    vectors = list(row_of)
 
     if checkpoints is None:
         checkpoints = checkpoint_grid(horizon)
-    uniforms = env_rng.random(horizon).tolist()
-    gaps = instance.gaps
+    uniforms = env_rng.random(horizon)
 
     # The loop pauses only at checkpoints and stamps, never per round.
     cps = set(checkpoints)
-    marks = cps | set(stamps or ())
-    stops = sorted({t for t in marks if 0 < t < horizon} | {horizon})
-    cum_regret = 0.0
-    curve: list[tuple[int, float]] = []
-    select = policy.select
-    update = policy.update
+    stamped = {t for t in stamps or () if 0 < t < horizon} | {horizon}
+    stops = sorted({t for t in cps if 0 < t < horizon} | stamped)
     if stamps is not None and 0 in stamps:
         stamps[0] = time.perf_counter()
-    t0 = 0
-    for stop in stops:
-        for t in range(t0, stop):
-            arm = select(policy_rng)
-            reward = 1 if uniforms[t] < means_at[t][arm] else 0
-            update(arm, reward)
-            cum_regret += gaps[arm]
-        t0 = stop
-        if stamps is not None and stop in stamps:
-            stamps[stop] = time.perf_counter()
-        if stop in cps:
-            curve.append((stop, cum_regret))
+    if hasattr(policy, "commit"):
+        # Blocks pause only at stamps; checkpoints are read from inside them.
+        curve = _play_blocks(
+            policy,
+            policy_rng,
+            uniforms,
+            np.array(vectors),
+            rows,
+            instance.gaps,
+            [t for t in stops if t in cps],
+            sorted(stamped),
+            stamps,
+        )
+    else:
+        table = np.empty(len(vectors), dtype=object)
+        for i, means in enumerate(vectors):
+            table[i] = means
+        means_at = table[rows].tolist()
+        uniforms = uniforms.tolist()
+        gaps = instance.gaps
+        cum_regret = 0.0
+        curve = []
+        select = policy.select
+        update = policy.update
+        t0 = 0
+        for stop in stops:
+            for t in range(t0, stop):
+                arm = select(policy_rng)
+                reward = 1 if uniforms[t] < means_at[t][arm] else 0
+                update(arm, reward)
+                cum_regret += gaps[arm]
+            t0 = stop
+            if stamps is not None and stop in stamps:
+                stamps[stop] = time.perf_counter()
+            if stop in cps:
+                curve.append((stop, cum_regret))
 
     return Trace(
         instance=instance,
@@ -202,6 +229,47 @@ def run_episode(
         checkpoints=curve,
         realized_spend=ledger.spent,
     )
+
+
+def _play_blocks(policy, policy_rng, uniforms, table, rows, gaps, pending, stops, stamps):
+    """The round loop of :func:`run_episode` for a policy that commits its arms ahead.
+
+    ``policy.commit(rng)`` returns the (non-empty) arms the policy will play
+    next whatever their rewards; ``policy.observe(arms, rewards)`` records a
+    played prefix of them. A block is what one commit returns, cut short
+    only at a stamp (``stops``) or the horizon. Its rewards are one
+    comparison of the env uniforms against each round's means, and its
+    regret one sequential ``np.add.accumulate`` seeded with the running
+    total, so the checkpoints ``pending`` read from inside it are the doubles
+    the per-round loop sums.
+    """
+    commit, observe = policy.commit, policy.observe
+    gaps = np.asarray(gaps)
+    k = table.shape[1]
+    flat_means = table.ravel()
+    cp = 0
+    curve = []
+    cum_regret = 0.0
+    t = 0
+    for stop in stops:
+        while t < stop:
+            arms = commit(policy_rng)
+            end = min(t + len(arms), stop)
+            arms = arms[: end - t]
+            rewards = uniforms[t:end] < flat_means[rows[t:end] * k + arms]
+            observe(arms, rewards)
+            regret = np.empty(end - t + 1)
+            regret[0] = cum_regret
+            np.take(gaps, arms, out=regret[1:])
+            np.add.accumulate(regret, out=regret)
+            while cp < len(pending) and pending[cp] <= end:
+                curve.append((pending[cp], float(regret[pending[cp] - t])))
+                cp += 1
+            cum_regret = float(regret[-1])
+            t = end
+        if stamps is not None and stop in stamps:
+            stamps[stop] = time.perf_counter()
+    return curve
 
 
 @dataclass

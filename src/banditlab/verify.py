@@ -247,6 +247,9 @@ def _worst_case_means_leader(instance: BanditInstance, cost: float) -> list[floa
     return means
 
 
+_MC_CHUNK = 1 << 16  # samples drawn per numpy pass in _mc_one_step
+
+
 def _mc_one_step(
     state: SambaState,
     means: Sequence[float],
@@ -255,17 +258,30 @@ def _mc_one_step(
     rng: np.random.Generator,
     update_fn: Callable,
 ) -> tuple[float, float]:
-    """Mean and 3-sigma CI half-width of metric(next) - metric(state)."""
+    """Mean and 3-sigma CI half-width of metric(next) - metric(state).
+
+    Each sample draws an arm as ``samba_select`` does and then its reward,
+    from one interleaved stream. From the fixed state there are only 2K
+    (arm, reward) outcomes, so ``update_fn`` and ``metric`` run once per
+    outcome; the samples are drawn in chunks, mapped to their outcomes
+    through the state's sequential cumsum, and d and d^2 are summed in
+    sample order with cumsums, as the one-sample-at-a-time loop summed them.
+    """
     base = metric(state)
+    k = len(state.p)
+    d_of = np.array(
+        [metric(update_fn(state.copy(), arm, reward)) - base for arm in range(k) for reward in (0, 1)]
+    )
+    acc = np.cumsum(state.p[:-1])  # samba_select picks the first arm with u < acc
+    means = np.asarray(means, dtype=float)
     total = 0.0
     total_sq = 0.0
-    for _ in range(samples):
-        arm = samba_select(state, rng)
-        reward = 1 if rng.random() < means[arm] else 0
-        nxt = update_fn(state.copy(), arm, reward)
-        d = metric(nxt) - base
-        total += d
-        total_sq += d * d
+    for start in range(0, samples, _MC_CHUNK):
+        u = rng.random(2 * min(_MC_CHUNK, samples - start))
+        arms = np.searchsorted(acc, u[0::2], side="right")
+        d = d_of[2 * arms + (u[1::2] < means[arms])]
+        total = float(np.cumsum(np.concatenate(([total], d)))[-1])
+        total_sq = float(np.cumsum(np.concatenate(([total_sq], d * d)))[-1])
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0)
     ci = 3.0 * math.sqrt(var / samples)

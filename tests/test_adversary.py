@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 
 from banditlab.adversary import (
+    STRATEGIES,
     BudgetExceedsHorizonCapacity,
     CorruptionPlan,
     apply_corruption,
     build_schedule,
     default_per_step_cost,
     make_ledger,
+    resolve_corruption,
+    resolve_corruption_runs,
 )
 from banditlab.core import make_instance
+from banditlab.engine import InstanceSpec
 
 
 def ladder_instance():
@@ -226,3 +230,128 @@ class TestApplyCorruption:
         assert ledger.remaining() == pytest.approx(2.7)
         apply_corruption(inst, ledger, 0)
         assert ledger.remaining() == pytest.approx(1.8)
+
+
+def reference_charge(instance, ledger, rounds):
+    """The scalar _charge loop that walked every round, kept verbatim as the reference."""
+    means = instance.means
+    a_best = instance.optimal_arm
+    swap = ledger.plan.strategy == "swap_extremes"
+    if swap:
+        a_worst = min(range(len(means)), key=lambda a: (means[a], a))
+    budget = ledger.plan.budget
+    per_step = ledger.per_step_cost
+    spent = ledger.spent
+    out = {}
+    last_shift = hit = None
+    for t in rounds:
+        remaining = budget - spent
+        if remaining <= 0.0:
+            break
+        shift = remaining if remaining < per_step else per_step  # min(), minus the call
+        if shift != last_shift:
+            shifted = list(means)
+            shifted[a_best] = max(0.0, means[a_best] - shift)
+            if swap:
+                shifted[a_worst] = min(1.0, means[a_worst] + shift)
+            cost = max(abs(means[a] - shifted[a]) for a in range(len(means)))
+            hit = (tuple(shifted), cost)
+            last_shift = shift
+        spent += hit[1]
+        out[t] = hit
+    ledger.spent = spent
+    return out
+
+
+def bits(table):
+    """A corruption table with every float as its exact hex form."""
+    return {t: (tuple(m.hex() for m in means), cost.hex()) for t, (means, cost) in table.items()}
+
+
+def uniform_instances():
+    return [InstanceSpec(k=k).resolve(seed) for k in (2, 5, 20) for seed in (1, 2, 3)]
+
+
+class TestChargeMatchesScalarLoop:
+    """The run-at-a-time charge equals the per-round loop bit for bit."""
+
+    def _ledgers(self, instance, plan, per_step_cost, seed=5):
+        return [
+            make_ledger(instance, plan, per_step_cost, rng(seed)) for _ in range(2)
+        ]
+
+    def _check_resolve(self, instance, plan, per_step_cost):
+        led, ref = self._ledgers(instance, plan, per_step_cost)
+        want = reference_charge(instance, ref, ref.schedule)
+        assert bits(resolve_corruption(instance, led)) == bits(want)
+        assert led.spent.hex() == ref.spent.hex()
+        # The runs cover the same rounds in order, one shared vector each.
+        led, _ = self._ledgers(instance, plan, per_step_cost)
+        runs = resolve_corruption_runs(instance, led)
+        flat = [t for rounds, _, _ in runs for t in rounds]
+        assert flat == list(want)
+        assert led.spent.hex() == ref.spent.hex()
+        return want
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize(
+        "scheme", ["consecutive", "even_steps", "delayed_block", "random_early"]
+    )
+    @pytest.mark.parametrize(
+        "budget,per_step_cost",
+        [
+            (7.3, 0.25),  # a residual last round
+            (6.0, 0.25),  # divides exactly, in binary too
+            (9.0, 0.9),  # divides exactly in decimal; the binary sum falls short
+            (100.0, None),  # the strategy's default cost
+            (0.0, 0.25),  # zero budget
+        ],
+    )
+    def test_ladder(self, scheme, strategy, budget, per_step_cost):
+        plan = CorruptionPlan(scheme=scheme, budget=budget, strategy=strategy, horizon=2000)
+        want = self._check_resolve(ladder_instance(), plan, per_step_cost)
+        assert bool(want) == (budget > 0)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("per_step_cost", [0.95, 1.5])
+    def test_clipped_uniform_means(self, strategy, per_step_cost):
+        # per_step_cost above the strategy's reach: every shift clips, so the
+        # budget outlasts the ceil(budget / cost) rounds a scheme schedules.
+        # Custom rounds run past that point, into the partial shifts.
+        distinct = set()
+        for instance in uniform_instances():
+            for budget in (3.0, 7.3):
+                for scheme in ("consecutive", "custom"):
+                    plan = CorruptionPlan(
+                        scheme=scheme,
+                        budget=budget,
+                        strategy=strategy,
+                        horizon=400,
+                        custom_rounds=tuple(range(3, 400, 7)),
+                    )
+                    want = self._check_resolve(instance, plan, per_step_cost)
+                    distinct.update(means for means, _ in want.values())
+        assert len(distinct) > 2 * len(uniform_instances())
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("per_step_cost", [0.25, 0.9, 1.5])
+    @pytest.mark.parametrize("start", [0.0, 0.35, 2.6, 7.3])
+    def test_one_round_calls_from_nonzero_spend(self, strategy, per_step_cost, start):
+        plan = CorruptionPlan(
+            scheme="custom",
+            budget=7.3,
+            strategy=strategy,
+            horizon=100,
+            custom_rounds=tuple(range(0, 100, 3)),
+        )
+        for instance in [ladder_instance(), *uniform_instances()]:
+            led, ref = self._ledgers(instance, plan, per_step_cost)
+            led.spent = ref.spent = start
+            for t in range(100):
+                got = apply_corruption(instance, led, t)
+                if t in ref.schedule:
+                    want = reference_charge(instance, ref, (t,)).get(t, (instance.means, 0.0))
+                else:
+                    want = (instance.means, 0.0)
+                assert bits({t: got}) == bits({t: want})
+                assert led.spent.hex() == ref.spent.hex()

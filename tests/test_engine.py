@@ -9,6 +9,7 @@ from banditlab.adversary import (
     apply_corruption,
     make_ledger,
     resolve_corruption,
+    resolve_corruption_runs,
 )
 from banditlab.baselines import make_policy
 from banditlab.core import checkpoint_grid, make_instance
@@ -111,14 +112,15 @@ class RecordingPolicy:
 
 @pytest.fixture
 def resolved_tables(monkeypatch):
-    """Every corruption table run_episode resolves, in call order."""
+    """Every corruption table run_episode resolves, in call order, as ``{round: (means, cost)}``."""
     tables = []
 
     def capture(instance, ledger):
-        tables.append(resolve_corruption(instance, ledger))
-        return tables[-1]
+        runs = resolve_corruption_runs(instance, ledger)
+        tables.append({t: (means, cost) for rounds, means, cost in runs for t in rounds})
+        return runs
 
-    monkeypatch.setattr(engine, "resolve_corruption", capture)
+    monkeypatch.setattr(engine, "resolve_corruption_runs", capture)
     return tables
 
 
@@ -256,6 +258,110 @@ class TestResolvedCorruptionMatchesPerRoundLoop:
                 assert ledger.spent == spent
                 if scheme != "none":
                     assert spent > 0
+
+
+@pytest.fixture
+def policy_streams(monkeypatch):
+    """The policy stream of every run_episode call, in call order."""
+    made = []
+
+    def capture(seed):
+        made.append(make_stream(seed))
+        return made[-1]
+
+    monkeypatch.setattr(engine, "make_stream", capture)
+    # run_episode makes the env, policy and adversary streams in that order.
+    return lambda: made[1::3]
+
+
+@pytest.fixture
+def block_calls(monkeypatch):
+    """How many episodes took the committed-block path."""
+    calls = []
+    play = engine._play_blocks
+
+    def spy(*args):
+        calls.append(1)
+        return play(*args)
+
+    monkeypatch.setattr(engine, "_play_blocks", spy)
+    return calls
+
+
+NINE_ARMS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+
+
+class TestCommittedBlocksMatchRoundLoop:
+    """barbar/cbarbar played a phase at a time equal the same policy played per round."""
+
+    PHASE_STATE = ("gap_estimates", "phase_lengths", "phase_index", "_pos", "_phase_counts", "_phase_sums")
+
+    def _plan(self, scheme, horizon):
+        # Budgets that fit every scheme at this horizon, with a residual round.
+        fit = horizon // 10 if scheme == "random_early" else max(1, horizon // 10)
+        return CorruptionPlan(
+            scheme=scheme, budget=0.093 * fit, strategy="swap_extremes", horizon=horizon
+        )
+
+    def _pair(self, algorithm, instance, plan, horizon, seed, checkpoints, stamps=None):
+        """(block trace, block policy, round trace, round policy) for one episode."""
+        block = make_policy(algorithm, instance.k)
+        rounds = RecordingPolicy(make_policy(algorithm, instance.k))
+        kw = dict(checkpoints=checkpoints, per_step_cost=0.1)
+        t_block = run_episode(block, instance, plan, horizon, seed, stamps=stamps, **kw)
+        t_rounds = run_episode(rounds, instance, plan, horizon, seed, **kw)
+        return t_block, block, t_rounds, rounds.inner
+
+    @pytest.mark.parametrize("custom_checkpoints", [False, True])
+    @pytest.mark.parametrize("horizon", [1, 37, 7777])
+    @pytest.mark.parametrize("means", ["nine", "uniform2", "uniform20"])
+    @pytest.mark.parametrize(
+        "scheme", ["none", "consecutive", "even_steps", "delayed_block", "random_early"]
+    )
+    @pytest.mark.parametrize("algorithm", ["barbar", "cbarbar"])
+    def test_identical_episodes(
+        self, algorithm, scheme, means, horizon, custom_checkpoints, policy_streams, block_calls
+    ):
+        seed = 17 + horizon
+        if means == "nine":
+            instance = make_instance(NINE_ARMS)
+        else:
+            instance = InstanceSpec(k=int(means[len("uniform"):])).resolve(seed)
+        plan = self._plan(scheme, horizon)
+        checkpoints = None
+        if custom_checkpoints:
+            # Unsorted, repeated and out-of-range entries, some mid-phase.
+            checkpoints = [horizon + 3, 5, 0, 36, 1, 5, horizon, 100, 4000, horizon - 1, -2]
+        t_block, block, t_rounds, rounds = self._pair(
+            algorithm, instance, plan, horizon, seed, checkpoints
+        )
+        assert len(block_calls) == 1
+        assert t_block.checkpoints == t_rounds.checkpoints
+        assert t_block.checkpoints[-1][0] == horizon
+        assert t_block.spent() == t_rounds.spent()
+        if scheme != "none" and (scheme != "random_early" or horizon >= 10):
+            assert t_block.spent() > 0
+        for attr in self.PHASE_STATE:
+            assert getattr(block, attr) == getattr(rounds, attr), attr
+        stream_block, stream_rounds = policy_streams()
+        assert stream_block.random() == stream_rounds.random()
+
+    @pytest.mark.parametrize("algorithm", ["barbar", "cbarbar"])
+    def test_stamps_do_not_change_checkpoints(self, algorithm):
+        instance = make_instance(NINE_ARMS)
+        horizon = 7777
+        plan = self._plan("even_steps", horizon)
+        stamps = dict.fromkeys((0, 1, 36, 500, 2048, 7000, horizon), 0.0)
+        t_stamped, stamped, t_rounds, rounds = self._pair(
+            algorithm, instance, plan, horizon, 5, None, stamps=stamps
+        )
+        plain = make_policy(algorithm, instance.k)
+        t_plain = run_episode(plain, instance, plan, horizon, 5, per_step_cost=0.1)
+        assert t_stamped.checkpoints == t_plain.checkpoints == t_rounds.checkpoints
+        for attr in self.PHASE_STATE:
+            assert getattr(stamped, attr) == getattr(plain, attr) == getattr(rounds, attr)
+        times = [stamps[t] for t in sorted(stamps)]
+        assert times[0] > 0 and times == sorted(times)
 
 
 class TestRunBatch:

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from banditlab.core import InstanceTooLarge, make_instance
-from banditlab.samba import samba_from_probabilities, samba_update
+from banditlab.samba import samba_from_probabilities, samba_select, samba_update
 from banditlab.verify import (
+    _MC_CHUNK,
+    _mc_one_step,
     BurnInFailure,
     DegenerateFit,
     PrepFailure,
@@ -213,6 +215,44 @@ class TestDriftChecks:
             check_drift_nonleader(
                 ladder(), 0.05, samples=10, rng=rng(10), state_prep=lambda r: state
             )
+
+
+def reference_mc_one_step(state, means, metric, samples, rng, update_fn):
+    """The one-sample-at-a-time drift estimator, kept verbatim as the reference."""
+    base = metric(state)
+    total = 0.0
+    total_sq = 0.0
+    for _ in range(samples):
+        arm = samba_select(state, rng)
+        reward = 1 if rng.random() < means[arm] else 0
+        nxt = update_fn(state.copy(), arm, reward)
+        d = metric(nxt) - base
+        total += d
+        total_sq += d * d
+    mean = total / samples
+    var = max(total_sq / samples - mean * mean, 0.0)
+    ci = 3.0 * math.sqrt(var / samples)
+    return mean, ci
+
+
+class TestMcOneStepByOutcome:
+    """Summing per outcome gives the per-sample loop's (mean, ci) bit for bit."""
+
+    @pytest.mark.parametrize("update_fn", [samba_update, tampered_update])
+    @pytest.mark.parametrize("samples", [1, 999, _MC_CHUNK + 4321])
+    @pytest.mark.parametrize("prep", ["nonleader", "leader"])
+    def test_matches_per_sample_loop(self, prep, samples, update_fn):
+        inst = ladder()
+        state = (prep_nonleader if prep == "nonleader" else prep_leader)(inst, 0.05, rng(3))
+        a_star = inst.optimal_arm
+        means = [m - 0.05 if a == a_star else m for a, m in enumerate(inst.means)]
+        for metric in (lambda s: 1.0 / s.p[a_star], lambda s: 1.0 - s.p[a_star]):
+            ours, theirs = rng(11), rng(11)
+            got = _mc_one_step(state.copy(), means, metric, samples, ours, update_fn)
+            want = reference_mc_one_step(state.copy(), means, metric, samples, theirs, update_fn)
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+            assert type(got[0]) is float and type(got[1]) is float
+            assert ours.random() == theirs.random()  # the same 2 * samples draws
 
 
 class TestBatchStep:
