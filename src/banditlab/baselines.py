@@ -2,11 +2,21 @@
 
 Every policy exposes ``name``, ``select(rng) -> arm``, ``update(arm, reward)``
 and ``get_params() -> dict``. The engine plays a policy round by round:
-``select`` then ``update`` with the arm fed back verbatim. A policy that
-fixes its arms ahead of their rewards (barbar, cbarbar) also exposes
-``commit(rng) -> arms`` and ``observe(arms, rewards)``; the engine then plays
-it a committed block at a time, and the results are identical to playing it
-round by round.
+``select`` then ``update`` with the arm fed back verbatim. Optional methods
+let the engine do the same work faster, with identical results:
+
+- A policy that fixes its arms ahead of their rewards (barbar, cbarbar)
+  exposes ``commit(rng) -> arms`` and ``observe(arms, rewards)``; the engine
+  plays it a committed block at a time.
+- A policy whose ``select`` draws exactly one uniform (fs_aae, tsallis_inf,
+  and samba) exposes ``pick(u) -> arm``, with ``select(rng)`` being
+  ``pick(rng.random())``; the engine hands it uniforms pre-drawn in windows
+  from the same policy stream.
+- A policy class with a ``lockstep`` kernel (tsallis_inf, samba) can have
+  many replications advanced together: ``lockstep(policies)`` returns an
+  object whose ``pick(u)`` and ``update(arms, rewards)`` take one entry per
+  policy, bit-identical to each policy's own calls, and whose ``store()``
+  writes the states back. ``engine.run_lockstep`` drives it.
 """
 
 from __future__ import annotations
@@ -15,7 +25,7 @@ import math
 
 import numpy as np
 
-from .core import BanditLabError, KTooSmall
+from .core import BanditLabError, KTooSmall, ordered_column_sums
 from .samba import SambaPolicy
 
 
@@ -81,7 +91,11 @@ class FastSlowEliminationPolicy:
         self.slow_active = list(range(k))
 
     def select(self, rng: np.random.Generator) -> int:
-        pool = self.slow_active if rng.random() < self.slow_share else self.fast_active
+        return self.pick(rng.random())
+
+    def pick(self, u: float) -> int:
+        """The arm ``select`` returns when its uniform draw is ``u``."""
+        pool = self.slow_active if u < self.slow_share else self.fast_active
         counts = self.counts
         best = pool[0]
         for a in pool[1:]:
@@ -193,7 +207,7 @@ class BarbarPolicy:
         self.gap_estimates = [1.0] * k
         self._targets = [0] * k
         self._order = np.zeros(0, dtype=np.intp)
-        self._schedule: list[int] = []
+        self._schedule: list[int] | None = None
         self._pos = 0
         self._phase_sums = [0.0] * k
         self._phase_counts = [0] * k
@@ -205,12 +219,13 @@ class BarbarPolicy:
         self._targets = [max(1, math.ceil(lam / (g * g))) for g in self.gap_estimates]
         # Shuffling the array takes the same draws, and gives the same
         # permutation, as shuffling the list [0]*n_0 + [1]*n_1 + ... The
-        # array backs commit(); select() reads the list, whose items are ints.
+        # array backs commit(); select() reads a list of ints made from it
+        # on its first call in the phase.
         order = np.repeat(np.arange(self.k, dtype=np.intp), self._targets)
         rng.shuffle(order)
         order.setflags(write=False)
         self._order = order
-        self._schedule = order.tolist()
+        self._schedule = None
         self._pos = 0
         self._phase_sums = [0.0] * self.k
         self._phase_counts = [0] * self.k
@@ -232,13 +247,15 @@ class BarbarPolicy:
         return max(floor, raw_gap)
 
     def _next_phase(self, rng: np.random.Generator) -> None:
-        if self._schedule:
+        if self.phase_index:
             self._finish_phase()
         self._start_phase(rng)
 
     def select(self, rng: np.random.Generator) -> int:
-        if self._pos >= len(self._schedule):
+        if self._pos >= len(self._order):
             self._next_phase(rng)
+        if self._schedule is None:
+            self._schedule = self._order.tolist()
         return self._schedule[self._pos]
 
     def update(self, arm: int, reward: int) -> None:
@@ -251,7 +268,7 @@ class BarbarPolicy:
 
         The result is a read-only view of the phase's schedule.
         """
-        if self._pos >= len(self._schedule):
+        if self._pos >= len(self._order):
             self._next_phase(rng)
         return self._order[self._pos :]
 
@@ -322,6 +339,50 @@ def _solve_weight_scale(z: list[float], eta: float, y0: float | None = None) -> 
     raise NoConvergence(f"weight normalization stalled (eta={eta}, K={k})")
 
 
+def _solve_weight_scales(z: np.ndarray, eta: float, y0: np.ndarray | None) -> np.ndarray:
+    """:func:`_solve_weight_scale` for each column of a C-contiguous (K, R) matrix, bit for bit.
+
+    Every column runs the scalar iteration and keeps the ``y`` at which the
+    scalar solve would return (columns that already returned keep iterating
+    harmlessly until all have). The sums are sequential
+    (:func:`~banditlab.core.ordered_column_sums`), and the scalar ``d -= t``
+    chain is the negated sum ``-(t_0 + t_1 + ...)`` exactly, so the Newton
+    step ``y - f / d`` is taken as ``y + f / sum(t)``.
+    """
+    k, n = z.shape
+    hi0 = 2.000001 * math.sqrt(k) / eta
+    coeff = 4.0 / (eta * eta)
+    y = np.full(n, 0.5 * hi0)
+    if y0 is not None:
+        y = np.where((0.0 < y0) & (y0 < hi0), y0, y)
+    lo = np.zeros(n)
+    hi = np.full(n, hi0)
+    out = np.empty(n)
+    live = np.ones(n, dtype=bool)
+    inv = np.empty_like(z)
+    w = np.empty_like(z)
+    for _ in range(200):
+        np.copyto(out, y, where=live)
+        np.add(z, y, out=inv)
+        np.divide(1.0, inv, out=inv)
+        np.multiply(inv, coeff, out=w)
+        w *= inv
+        f = ordered_column_sums(w) - 1.0
+        w *= 2.0
+        w *= inv
+        d = ordered_column_sums(w)
+        live[np.abs(f) <= 1e-11] = False
+        if not live.any():
+            return out
+        up = f > 0.0
+        lo = np.where(up, y, lo)
+        hi = np.where(up, hi, y)
+        y_new = y + f / d
+        inside = (lo < y_new) & (y_new < hi)
+        y = y_new if inside.all() else np.where(inside, y_new, 0.5 * (lo + hi))
+    raise NoConvergence(f"weight normalization stalled (eta={eta}, K={k})")
+
+
 def tsallis_solve_normalization(losses, eta: float) -> np.ndarray:
     """Simplex weights w_a = 4 / (eta * (L_a - x))^2 with scalar x < min(L).
 
@@ -338,8 +399,71 @@ def tsallis_solve_normalization(losses, eta: float) -> np.ndarray:
     return np.array([coeff / ((za + y) * (za + y)) for za in z])
 
 
+class TsallisInfLockstep:
+    """Several Tsallis-INF policies at the same round, advanced together.
+
+    ``pick(u)`` and ``update(arms, rewards)`` take one entry per policy. The
+    losses are a (K, R) matrix, one column per policy, and each column does
+    exactly the arithmetic of :meth:`TsallisInfPolicy.pick` and
+    :meth:`~TsallisInfPolicy.update`: the shifted losses are ``L - min(L)``
+    entry by entry (what the scalar policy's incremental refresh keeps), the
+    normalization is :func:`_solve_weight_scales`, and the sampling scan is a
+    sequential cumsum. After at least one round, :meth:`store` writes the
+    columns back into the policies.
+    """
+
+    def __init__(self, policies):
+        if len({(pol.eta_scale, pol.t, pol._eta) for pol in policies}) != 1:
+            raise ValueError("lockstep Tsallis-INF policies must share eta_scale and round")
+        first = policies[0]
+        self.policies = policies
+        self.eta_scale, self.t, self.eta = first.eta_scale, first.t, first._eta
+        self.losses = np.array([pol.losses for pol in policies], dtype=float).T.copy()
+        self.y = np.array([pol._y for pol in policies])
+        self.cols = np.arange(len(policies))
+
+    def pick(self, u: np.ndarray) -> np.ndarray:
+        self.base = self.losses.min(axis=0)
+        self.z = z = self.losses - self.base
+        self.t += 1
+        eta = self.eta_scale / math.sqrt(self.t)
+        y0 = self.y * (self.eta / eta) if self.t > 1 else None
+        self.y = y = _solve_weight_scales(z, eta, y0)
+        self.eta, self.coeff = eta, 4.0 / (eta * eta)
+        s = z[:-1] + y
+        acc = (self.coeff / (s * s)).cumsum(axis=0)
+        return np.count_nonzero(acc <= u, axis=0)
+
+    def update(self, arms: np.ndarray, rewards: np.ndarray) -> None:
+        # A rewarded column adds 0.0, which leaves its loss exactly as it was.
+        self.last = arms, rewards
+        cols = self.cols
+        s = self.z[arms, cols] + self.y
+        self.losses[arms, cols] += np.where(rewards, 0.0, 1.0 / (self.coeff / (s * s)))
+
+    def store(self) -> None:
+        """Write each column's state back into its policy, as its last ``update`` left it."""
+        arms, rewards = self.last
+        cols = zip(
+            self.policies, self.losses.T.tolist(), self.z.T.tolist(), self.base.tolist(),
+            self.y.tolist(), arms.tolist(), rewards.tolist(),
+        )
+        for pol, losses, z, base, y, arm, reward in cols:
+            pol.losses, pol._z, pol._base, pol._y = losses, z, base, y
+            pol.t, pol._eta, pol._coeff = self.t, self.eta, self.coeff
+            pol._moved = None if reward else arm
+
+
 class TsallisInfPolicy:
     """Importance-weighted loss minimizer with learning rate eta_t = scale/sqrt(t).
+
+    Online mirror descent with the 1/2-Tsallis regularizer, after Zimmert &
+    Seldin (JMLR 2021): round t plays w_a = 4 / (eta_t (L_a - x))^2, with
+    eta_t = ``eta_scale`` / sqrt(t) and x the normalizer. The loss estimator
+    is plain importance weighting of the loss 1 - reward: a pull of arm a
+    with reward 0 adds 1 / w_a to L_a, and reward 1 adds nothing. There is no
+    reduced-variance baseline (the paper's alternative estimator), and
+    ``eta_scale`` defaults to 1.
 
     Per-round work is dominated by the weight normalization solve, warm
     started from the previous round: about three O(K) passes. The shifted
@@ -350,6 +474,7 @@ class TsallisInfPolicy:
     """
 
     name = "tsallis_inf"
+    lockstep = TsallisInfLockstep
 
     def __init__(self, k: int, eta_scale: float = 1.0):
         if k < 2:
@@ -379,6 +504,10 @@ class TsallisInfPolicy:
         return np.array([coeff / ((za + y) * (za + y)) for za in self._z])
 
     def select(self, rng: np.random.Generator) -> int:
+        return self.pick(rng.random())
+
+    def pick(self, u: float) -> int:
+        """The arm ``select`` returns when its uniform draw is ``u``."""
         z = self._refresh_shifted()
         self.t += 1
         eta = self.eta_scale / math.sqrt(self.t)
@@ -386,7 +515,6 @@ class TsallisInfPolicy:
         y = _solve_weight_scale(z, eta, y0)
         coeff = 4.0 / (eta * eta)
         self._y, self._eta, self._coeff = y, eta, coeff
-        u = rng.random()
         acc = 0.0
         last = self.k - 1
         for a in range(last):

@@ -34,6 +34,7 @@ from .engine import (
     InstanceSpec,
     PlanSpec,
     bench_runtime,
+    episode_seeds,
     resolve_threads,
     run_batch,
 )
@@ -152,7 +153,8 @@ def _parse_plans(cfg: dict, instances: tuple[InstanceSpec, ...]) -> tuple[PlanSp
     if per_step is not None and (not _is_finite(per_step) or per_step <= 0):
         raise ConfigError("'per_step_cost' must be a finite positive number or omitted")
     # Above the strategy's largest shift every round would under-spend. Explicit
-    # means give one instance; uniform means are drawn per replication, unchecked.
+    # means give one instance; uniform means are checked per replication in
+    # _check_drawn_reach, once the cells and their seeds are known.
     if per_step is not None and instances[0].means is not None:
         reach = default_per_step_cost(make_instance(instances[0].means), strategy)
         if per_step > reach:
@@ -214,7 +216,7 @@ def _parse_experiment(cfg: dict, args, *, allow_grid: bool) -> ExperimentConfig:
     if not _is_int(per_decade) or per_decade < 1:
         raise ConfigError("'checkpoints_per_decade' must be a positive integer")
     instances = _parse_instances(cfg, allow_grid=allow_grid)
-    return ExperimentConfig(
+    experiment = ExperimentConfig(
         instances=instances,
         plans=_parse_plans(cfg, instances),
         algorithms=_parse_algorithms(cfg),
@@ -223,6 +225,27 @@ def _parse_experiment(cfg: dict, args, *, allow_grid: bool) -> ExperimentConfig:
         master_seed=seed,
         checkpoints_per_decade=per_decade,
     )
+    _check_drawn_reach(experiment)
+    return experiment
+
+
+def _check_drawn_reach(experiment: ExperimentConfig) -> None:
+    """Reject a ``per_step_cost`` above the largest shift on any drawn uniform instance.
+
+    Each replication draws its means from its episode seed, so every cell's
+    seeds are derived as ``run_batch`` derives them.
+    """
+    for cell_idx, inst, plan, _ in experiment.cells():
+        if inst.means is not None or plan.per_step_cost is None:
+            continue
+        for rep, seed in enumerate(episode_seeds(experiment, cell_idx)):
+            reach = default_per_step_cost(inst.resolve(seed), plan.strategy)
+            if plan.per_step_cost > reach:
+                raise ConfigError(
+                    f"'per_step_cost' {plan.per_step_cost!r} exceeds {reach!r}, the largest "
+                    f"shift {plan.strategy!r} makes on the means drawn for K={inst.k}, "
+                    f"replication {rep} (cell {cell_idx})"
+                )
 
 
 def _config_hash(payload: dict) -> str:

@@ -149,6 +149,19 @@ def pseudo_regret(arms: Sequence[int] | np.ndarray, instance: BanditInstance) ->
     return float(gaps[idx].sum())
 
 
+def ordered_column_sums(a: np.ndarray) -> np.ndarray:
+    """Column sums of a C-contiguous (K, R) array, adding its K rows in order.
+
+    This is the sequential sum a Python loop over the K entries of each
+    column computes, so batched kernels can reproduce scalar ones bit for
+    bit. Reducing axis 0 with more than one column, numpy adds whole rows one
+    after another (checked on numpy 2.4.6; the lockstep equality tests would
+    catch a change). A single column would be summed pairwise, so it takes a
+    cumsum instead.
+    """
+    return np.add.reduce(a, axis=0) if a.shape[1] > 1 else a.cumsum(axis=0)[-1]
+
+
 def checkpoint_grid(horizon: int, *, per_decade: int = 20) -> list[int]:
     """Geometric checkpoint rounds in [1, horizon], horizon always included."""
     if horizon < 1:

@@ -7,6 +7,19 @@ generator id ``philox4x64-splitmix64``, stamped into run manifests. Episode
 ``i`` of cell ``c`` always uses seed ``split_seed(master, c * R + i)``, so
 results are bit-identical for a fixed config regardless of scheduling, and
 parallel workers reduce in replication order.
+
+:func:`run_episode` is the episode loop. It plays barbar/cbarbar a committed
+phase at a time, and hands policies with ``pick(u)`` (samba, tsallis_inf,
+fs_aae) their uniforms from one pre-drawn policy-stream window per
+checkpoint interval; any other policy, or a wrapper that forwards only
+``select``/``update``, is played one call per round. :func:`run_lockstep`
+plays many replications of a policy with a ``lockstep`` kernel (samba,
+tsallis_inf) together as numpy columns, each bit-identical to its own
+``run_episode``. :func:`run_batch` sends a cell with at least
+``LOCKSTEP_MIN_REPLICATIONS`` replications of such a policy to
+``run_lockstep`` as one pool task, and every other cell to ``run_episode``
+a few episodes per task; either way results are reduced by replication
+index, so neither the path nor the worker count changes a byte.
 """
 
 from __future__ import annotations
@@ -15,6 +28,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -50,6 +64,16 @@ def make_stream(seed: int) -> np.random.Generator:
 
 # Stream sub-indexes within an episode.
 _ENV, _POLICY, _ADVERSARY, _INSTANCE = 0, 1, 2, 3
+
+# A cell with at least this many replications, of a policy with a lockstep
+# kernel, runs them together through run_lockstep as one pool task. The
+# width was measured on a 2-vCPU Xeon (see CHANGES.md): below it the numpy
+# calls per round cost more than the scalar episodes they replace.
+LOCKSTEP_MIN_REPLICATIONS = 32
+# Rounds per pre-drawn window of run_lockstep.
+_LOCKSTEP_WINDOW = 1024
+# Episodes per pool task for every other cell.
+_EPISODES_PER_TASK = 4
 
 
 @dataclass(frozen=True)
@@ -157,8 +181,12 @@ def run_episode(
 
     A policy with ``commit``/``observe`` (barbar, cbarbar) fixes its arms
     ahead, so it is played a committed block at a time with numpy (see
-    :func:`_play_blocks`); every other policy is played round by round.
-    Both give the same checkpoints, spend and final policy state.
+    :func:`_play_blocks`); every other policy is played round by round. A
+    policy with ``pick(u)`` gets its uniforms from one ``policy_rng.random(n)``
+    window per stop (the same stream positions ``select`` would consume);
+    any other one, such as a wrapper forwarding only ``select``/``update``,
+    is called with the stream once per round. All give the same checkpoints,
+    spend and final policy state.
 
     ``stamps``, if given, maps round indexes in [0, horizon] to be timed: each
     key gets the ``time.perf_counter()`` reading taken when the loop reaches
@@ -207,12 +235,17 @@ def run_episode(
         gaps = instance.gaps
         cum_regret = 0.0
         curve = []
-        select = policy.select
+        # A policy with pick(u) takes its uniforms from one policy-stream
+        # window per stop, the draws select(rng) would make one at a time.
+        pick = getattr(policy, "pick", None)
+        choose = pick or policy.select
         update = policy.update
         t0 = 0
         for stop in stops:
-            for t in range(t0, stop):
-                arm = select(policy_rng)
+            n = stop - t0
+            draws = policy_rng.random(n).tolist() if pick else repeat(policy_rng, n)
+            for t, u in zip(range(t0, stop), draws):
+                arm = choose(u)
                 reward = 1 if uniforms[t] < means_at[t][arm] else 0
                 update(arm, reward)
                 cum_regret += gaps[arm]
@@ -272,6 +305,97 @@ def _play_blocks(policy, policy_rng, uniforms, table, rows, gaps, pending, stops
     return curve
 
 
+def run_lockstep(
+    policies: list,
+    instances: list[BanditInstance],
+    plan: CorruptionPlan,
+    horizon: int,
+    seeds: list[int],
+    *,
+    checkpoints: list[int] | None = None,
+    per_step_cost: float | None = None,
+) -> list[Trace]:
+    """Play several episodes together, round by round; trace r is what
+    ``run_episode(policies[r], instances[r], plan, horizon, seeds[r])`` returns.
+
+    The policies are of one type whose ``lockstep`` kernel (samba,
+    tsallis_inf) advances all of them a round at a time as (K, R) numpy
+    arrays, one column per replication, bit-identical to each one's own
+    ``pick``/``update`` (see :class:`~banditlab.samba.SambaLockstep`); at the
+    end the kernel writes each column's state back into its policy. The
+    instances must share an arm count. Each replication draws its env and
+    policy uniforms from its own streams in windows of at most
+    ``_LOCKSTEP_WINDOW`` rounds (chunked draws equal one-shot draws), and
+    reads each round's means through a windowed row index into a table of
+    every replication's distinct vectors, so no (R, T) array is allocated.
+    Regret is summed per replication in round order, as the per-round loop
+    sums it.
+    """
+    batch = type(policies[0]).lockstep(policies)
+    n, k = len(policies), instances[0].k
+    env_rngs = [make_stream(split_seed(seed, _ENV)) for seed in seeds]
+    policy_rngs = [make_stream(split_seed(seed, _POLICY)) for seed in seeds]
+    # Every replication's distinct mean vectors, flattened; per replication,
+    # the offset of its clean vector, its corrupted rounds in order, and the
+    # offset of each one's vector.
+    vectors = []
+    tables = []
+    spends = []
+    for inst, seed in zip(instances, seeds):
+        ledger = make_ledger(inst, plan, per_step_cost, make_stream(split_seed(seed, _ADVERSARY)))
+        runs = resolve_corruption_runs(inst, ledger)
+        sizes = [len(rounds) for rounds, _, _ in runs]
+        first = len(vectors) + 1
+        tables.append((
+            len(vectors) * k,
+            np.fromiter(chain.from_iterable(r for r, _, _ in runs), np.intp, sum(sizes)),
+            np.repeat(np.arange(first, first + len(runs)) * k, sizes),
+        ))
+        vectors.append(inst.means)
+        vectors.extend(means for _, means, _ in runs)
+        spends.append(ledger.spent)
+    flat_means = np.array(vectors).ravel()
+    flat_gaps = np.array([inst.gaps for inst in instances]).ravel()
+    offsets = np.arange(n) * k
+
+    if checkpoints is None:
+        checkpoints = checkpoint_grid(horizon)
+    cps = set(checkpoints)
+    pick, update = batch.pick, batch.update
+    env = np.empty((n, _LOCKSTEP_WINDOW))
+    draws = np.empty((n, _LOCKSTEP_WINDOW))
+    rows = np.empty((n, _LOCKSTEP_WINDOW), dtype=np.intp)
+    cum_regret = np.zeros(n)
+    curve = []
+    for t0 in range(0, horizon, _LOCKSTEP_WINDOW):
+        w = min(_LOCKSTEP_WINDOW, horizon - t0)
+        for r in range(n):
+            env_rngs[r].random(out=env[r, :w])
+            policy_rngs[r].random(out=draws[r, :w])
+            clean, rounds, at = tables[r]
+            lo, hi = rounds.searchsorted((t0, t0 + w))
+            rows[r, :w] = clean
+            rows[r, rounds[lo:hi] - t0] = at[lo:hi]
+        env_t, draws_t, rows_t = env[:, :w].T.copy(), draws[:, :w].T.copy(), rows[:, :w].T.copy()
+        for j in range(w):
+            arms = pick(draws_t[j])
+            update(arms, env_t[j] < flat_means[rows_t[j] + arms])
+            cum_regret += flat_gaps[offsets + arms]
+            if t0 + j + 1 in cps:
+                curve.append((t0 + j + 1, cum_regret.tolist()))
+    batch.store()
+    return [
+        Trace(
+            instance=inst,
+            algorithm=getattr(pol, "name", type(pol).__name__),
+            seed=seed,
+            checkpoints=[(t, regrets[r]) for t, regrets in curve],
+            realized_spend=spent,
+        )
+        for r, (pol, inst, seed, spent) in enumerate(zip(policies, instances, seeds, spends))
+    ]
+
+
 @dataclass
 class CellResult:
     algorithm: str
@@ -295,30 +419,44 @@ class AggregateStats:
     cells: list[CellResult] = field(default_factory=list)
 
 
-def _episode_task(args):
-    (inst_spec, plan_spec, algo_spec, horizon, seed, checkpoints) = args
-    instance = inst_spec.resolve(seed)
+def _cell_task(args):
+    """Per-replication results of some of a cell's episodes, in replication order."""
+    (inst_spec, plan_spec, algo_spec, horizon, seeds, checkpoints, lockstep) = args
     plan = plan_spec.bind(horizon)
-    policy = make_policy(
-        algo_spec.algorithm,
-        instance.k,
-        algo_spec.param_dict(),
-        c_known=plan.budget,
-        horizon=horizon,
-    )
-    trace = run_episode(
-        policy,
-        instance,
-        plan,
-        horizon,
-        seed,
-        checkpoints=checkpoints,
-        per_step_cost=plan_spec.per_step_cost,
-    )
-    final_regret = trace.checkpoints[-1][1]
-    curve = tuple(r for _, r in trace.checkpoints)
-    clamp = policy.state.clamp_events if isinstance(policy, SambaPolicy) else 0
-    return final_regret, curve, trace.spent(), clamp
+    instances = [inst_spec.resolve(seed) for seed in seeds]
+    policies = [
+        make_policy(
+            algo_spec.algorithm,
+            instance.k,
+            algo_spec.param_dict(),
+            c_known=plan.budget,
+            horizon=horizon,
+        )
+        for instance in instances
+    ]
+    kw = dict(checkpoints=checkpoints, per_step_cost=plan_spec.per_step_cost)
+    if lockstep:
+        traces = run_lockstep(policies, instances, plan, horizon, seeds, **kw)
+    else:
+        traces = [
+            run_episode(policy, instance, plan, horizon, seed, **kw)
+            for policy, instance, seed in zip(policies, instances, seeds)
+        ]
+    return [
+        (
+            trace.checkpoints[-1][1],
+            tuple(r for _, r in trace.checkpoints),
+            trace.spent(),
+            policy.state.clamp_events if isinstance(policy, SambaPolicy) else 0,
+        )
+        for policy, trace in zip(policies, traces)
+    ]
+
+
+def episode_seeds(config: ExperimentConfig, cell_idx: int) -> list[int]:
+    """The seeds of one cell's episodes, in replication order."""
+    reps = config.replications
+    return [split_seed(config.master_seed, cell_idx * reps + i) for i in range(reps)]
 
 
 def resolve_threads(threads: int | None = None) -> int:
@@ -341,15 +479,26 @@ def run_batch(config: ExperimentConfig, *, threads: int | None = None) -> Aggreg
     checkpoints = checkpoint_grid(config.horizon, per_decade=config.checkpoints_per_decade)
     tasks = []
     for cell_idx, inst, plan, algo in config.cells():
-        for i in range(reps):
-            seed = split_seed(config.master_seed, cell_idx * reps + i)
-            tasks.append((inst, plan, algo, config.horizon, seed, checkpoints))
+        seeds = episode_seeds(config, cell_idx)
+        if reps >= LOCKSTEP_MIN_REPLICATIONS and hasattr(
+            make_policy(algo.algorithm, inst.arms, algo.param_dict()), "lockstep"
+        ):
+            tasks.append((inst, plan, algo, config.horizon, seeds, checkpoints, True))
+        else:
+            for i in range(0, reps, _EPISODES_PER_TASK):
+                chunk = seeds[i : i + _EPISODES_PER_TASK]
+                tasks.append((inst, plan, algo, config.horizon, chunk, checkpoints, False))
 
     if n_threads > 1 and len(tasks) > 1:
+        # Lockstep cells are the longest tasks, so the pool starts them first.
+        order = sorted(range(len(tasks)), key=lambda i: not tasks[i][-1])
+        done = [None] * len(tasks)
         with ProcessPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(_episode_task, tasks, chunksize=4))
+            for i, rows in zip(order, pool.map(_cell_task, [tasks[i] for i in order])):
+                done[i] = rows
     else:
-        results = [_episode_task(t) for t in tasks]
+        done = [_cell_task(t) for t in tasks]
+    results = [row for rows in done for row in rows]
 
     stats = AggregateStats(master_seed=config.master_seed, horizon=config.horizon)
     pos = 0
@@ -375,7 +524,7 @@ def run_batch(config: ExperimentConfig, *, threads: int | None = None) -> Aggreg
                 mean_regret=float(finals.mean()),
                 sd_regret=sd,
                 replications=reps,
-                base_seed=split_seed(config.master_seed, cell_idx * reps),
+                base_seed=episode_seeds(config, cell_idx)[0],
                 curve=curve,
                 mean_spent=float(spents.mean()),
                 max_spent=float(spents.max()),

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import BanditLabError, KTooSmall
+from .core import BanditLabError, KTooSmall, ordered_column_sums
 
 CLAMP_FLOOR = 1e-12
 
@@ -104,7 +104,11 @@ def samba_from_probabilities(p: Sequence[float], alpha: float) -> SambaState:
 
 def samba_select(state: SambaState, rng: np.random.Generator) -> int:
     """Sample an arm from the current distribution."""
-    u = rng.random()
+    return samba_pick(state, rng.random())
+
+
+def samba_pick(state: SambaState, u: float) -> int:
+    """The arm :func:`samba_select` returns when its uniform draw is ``u``."""
     acc = 0.0
     p = state.p
     for a in range(len(p) - 1):
@@ -154,24 +158,89 @@ def samba_update(state: SambaState, pulled: int, reward: int) -> SambaState:
     low = min(p)
     if low < CLAMP_FLOOR:
         state.clamp_events += 1
-        for a in range(k):
-            if p[a] < CLAMP_FLOOR:
-                p[a] = CLAMP_FLOOR
-        lead_now = samba_leader(p)
-        rest = 0.0
-        for a in range(k):
-            if a != lead_now:
-                rest += p[a]
-        p[lead_now] = 1.0 - rest
+        _clamp(p)
 
     state.leader = samba_leader(p)
     return state
+
+
+def _clamp(p: list[float]) -> None:
+    """Raise coordinates below ``CLAMP_FLOOR`` to it; the leader absorbs the difference."""
+    k = len(p)
+    for a in range(k):
+        if p[a] < CLAMP_FLOOR:
+            p[a] = CLAMP_FLOOR
+    lead_now = samba_leader(p)
+    rest = 0.0
+    for a in range(k):
+        if a != lead_now:
+            rest += p[a]
+    p[lead_now] = 1.0 - rest
+
+
+class SambaLockstep:
+    """Several SAMBA policies with one step size, advanced together.
+
+    ``pick(u)`` and ``update(arms, rewards)`` take one entry per policy. The
+    simplex points are a (K, R) matrix, one column per policy, and each
+    column does exactly the arithmetic of :func:`samba_pick` and
+    :func:`samba_update` on its own policy: the selection scan is a
+    sequential cumsum, the leader's ``1 - rest`` sums the other coordinates in
+    order (the leader's own term is zeroed, and adding 0.0 is exact), the
+    leader is the first argmax, and a column whose floor fires is clamped by
+    the scalar code. Only rewarded columns take the new values. So every
+    column stays bit-identical to its policy played alone; :meth:`store`
+    writes the columns back into the policies.
+    """
+
+    def __init__(self, policies):
+        alphas = {pol.state.alpha for pol in policies}
+        if len(alphas) != 1:
+            raise ValueError("lockstep SAMBA policies must share one step size")
+        self.alpha = alphas.pop()
+        self.policies = policies
+        self.p = np.array([pol.state.p for pol in policies], dtype=float).T.copy()
+        self.leader = np.array([pol.state.leader for pol in policies], dtype=np.intp)
+        self.cols = np.arange(len(policies))
+        self.clamp_events = [0] * len(policies)
+
+    def pick(self, u: np.ndarray) -> np.ndarray:
+        acc = self.p[:-1].cumsum(axis=0)
+        return np.count_nonzero(acc <= u, axis=0)
+
+    def update(self, arms: np.ndarray, rewards: np.ndarray) -> None:
+        if not rewards.any():
+            return
+        alpha, p, lead, cols = self.alpha, self.p, self.leader, self.cols
+        # A leader pull shrinks every coordinate; any other pull grows its own.
+        new = np.where(arms == lead, p - alpha * p * p / p[lead, cols], p)
+        new[arms, cols] = p[arms, cols] * (1.0 + alpha)
+        new[lead, cols] = 0.0
+        new[lead, cols] = 1.0 - ordered_column_sums(new)
+        np.copyto(p, new, where=rewards)
+        low = (new.min(axis=0) < CLAMP_FLOOR) & rewards
+        if low.any():
+            for c in np.flatnonzero(low).tolist():
+                col = p[:, c].tolist()
+                _clamp(col)
+                p[:, c] = col
+                self.clamp_events[c] += 1
+        np.copyto(lead, p.argmax(axis=0), where=rewards)
+
+    def store(self) -> None:
+        """Write each column's state back into its policy."""
+        cols = zip(self.policies, self.p.T.tolist(), self.leader.tolist(), self.clamp_events)
+        for pol, p, leader, clamps in cols:
+            pol.state.p = p
+            pol.state.leader = leader
+            pol.state.clamp_events += clamps
 
 
 class SambaPolicy:
     """Engine-facing handle around the simplex state."""
 
     name = "samba"
+    lockstep = SambaLockstep
 
     def __init__(self, k: int, alpha: float = 0.05):
         self.alpha = float(alpha)
@@ -179,6 +248,10 @@ class SambaPolicy:
 
     def select(self, rng: np.random.Generator) -> int:
         return samba_select(self.state, rng)
+
+    def pick(self, u: float) -> int:
+        """The arm ``select`` returns when its uniform draw is ``u``."""
+        return samba_pick(self.state, u)
 
     def update(self, arm: int, reward: int) -> None:
         samba_update(self.state, arm, reward)

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from banditlab.cli import main
+from banditlab.engine import InstanceSpec, split_seed
 
 BASE_CONFIG = {
     "schema_version": 1,
@@ -125,6 +126,11 @@ class TestRun:
                                                         "strategy": "swap_extremes",
                                                         "per_step_cost": 1.5}),
                          id="per_step_cost_above_reach"),
+            # uniform means: every replication's drawn instance must be reachable
+            pytest.param(lambda c: c.update(instance={"k": 4, "means": "uniform"},
+                                            corruption={"scheme": "consecutive", "budget": 5,
+                                                        "per_step_cost": 0.999}),
+                         id="per_step_cost_above_drawn_reach"),
         ],
     )
     def test_config_errors_exit_2(self, tmp_path, mutate):
@@ -137,6 +143,30 @@ class TestRun:
         payload = {**BASE_CONFIG, "instance": {"means": [0.2, 0.9]},
                    "corruption": {"scheme": "consecutive", "budget": 6,
                                   "strategy": "swap_extremes", "per_step_cost": 0.9}}
+        cfg = write_config(tmp_path, payload)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+    def test_drawn_reach_names_first_failing_replication(self, tmp_path, capsys):
+        payload = {**BASE_CONFIG, "replications": 6, "instance": {"k": 3, "means": "uniform"},
+                   "corruption": {"schemes": ["none", "consecutive"], "budget": 5,
+                                  "per_step_cost": 0.8}}
+        cfg = write_config(tmp_path, payload)
+        # suppress_optimal shifts at most the best drawn mean; cells run
+        # plans in order, each with seeds cell * replications + rep
+        failing = [
+            (cell, rep)
+            for cell in range(2)
+            for rep in range(6)
+            if max(InstanceSpec(k=3).resolve(split_seed(42, cell * 6 + rep)).means) < 0.8
+        ]
+        assert failing
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        cell, rep = failing[0]
+        assert f"K=3, replication {rep} (cell {cell})" in capsys.readouterr().err
+
+    def test_per_step_cost_within_drawn_reach_runs(self, tmp_path):
+        payload = {**BASE_CONFIG, "instance": {"k": 3, "means": "uniform"},
+                   "corruption": {"scheme": "consecutive", "budget": 5, "per_step_cost": 0.05}}
         cfg = write_config(tmp_path, payload)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 

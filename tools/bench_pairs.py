@@ -1,0 +1,214 @@
+"""Compare two source trees of banditlab on the benchmark and write one JSON record.
+
+Usage (from anywhere):
+
+    python3 tools/bench_pairs.py --parent PARENT_TREE --change CHANGE_TREE \\
+        --pairs grid_gradient:3201-3210 --pairs grid_phased_corrupt:3301-3310 \\
+        --seconds 55 --digest configs/quickstart.json --tier1 \\
+        --title "what changed" --out BENCH_7_name.json
+
+For every seed of every ``--pairs WORKLOAD:FIRST-LAST`` range it runs
+``benchmark/run.py --workload WORKLOAD --seed SEED --seconds S --trace 0`` in
+both trees, one after the other, alternating which tree goes first. Each
+end-to-end metric is summarised by the parent's and the change's quartiles,
+the ratio of medians, how many pairs the change won (in the direction
+``BENCHMARK.json`` gives) and the gap between medians next to the parent's
+interquartile range. The runs' CSV digests show whether both trees wrote the
+same bytes for the same seed.
+
+``--digest CONFIG`` (repeatable) runs ``banditlab sweep --config CONFIG``
+in both trees with each of ``--digest-threads`` and records the SHA-256 of
+``results.csv`` and ``curves.csv`` and the wall time. ``--tier1`` runs the
+tier-1 suite once per tree (parent first) with per-test durations, and
+records passed/failed counts, failing tests and the slowest calls.
+
+Runs are sequential and use at most the workers the benchmark itself starts.
+Relative paths are taken from the current directory. The record names each
+tree by its git commit (marked when it has uncommitted changes) and each
+digest config by its file name, never by a path.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import re
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+
+SIDES = ("parent", "change")
+
+
+def _env(tree: str) -> dict:
+    src = os.path.join(tree, "src")
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+
+
+def _seeds(spec: str) -> tuple[str, list[int]]:
+    workload, _, span = spec.partition(":")
+    first, _, last = span.partition("-")
+    return workload, list(range(int(first), int(last or first) + 1))
+
+
+def _describe(tree: str) -> str:
+    """The tree's git commit, marked if the working tree differs from it."""
+    def git(*args):
+        return subprocess.run(["git", "-C", tree, *args], capture_output=True, text=True).stdout
+    commit = git("rev-parse", "--short", "HEAD").strip() or "not a git checkout"
+    return commit + (" with uncommitted changes" if git("status", "--porcelain").strip() else "")
+
+
+def _quartiles(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": median, "q3": q3}
+
+
+def bench_run(tree: str, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "benchmark/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    out = subprocess.run(cmd, cwd=tree, env=_env(tree), check=True,
+                         capture_output=True, text=True).stdout
+    header, result = (json.loads(line) for line in out.strip().splitlines()[-2:])
+    return {
+        "seed": seed,
+        "samples": header["info"]["samples"],
+        "sha256": header["info"]["sha256"],
+        **{key: result[key] for key in ("correct", "attempted", "failed")},
+        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+    }
+
+
+def summarise(runs: dict, better: dict) -> dict:
+    summary = {}
+    for name, direction in better.items():
+        values = {side: [r["metrics"][name] for r in runs[side]] for side in SIDES}
+        parent, change = (_quartiles(values[side]) for side in SIDES)
+        sign = 1.0 if direction == "higher" else -1.0
+        wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
+        summary[name] = {
+            "parent": parent,
+            "change": change,
+            "change_over_parent_median": change["median"] / parent["median"],
+            "pairs_change_better": f"{wins}/{len(values['parent'])}",
+            "parent_iqr": parent["q3"] - parent["q1"],
+            "median_gap": abs(change["median"] - parent["median"]),
+        }
+    summary["same_csv_bytes_per_seed"] = sum(
+        p["sha256"] == c["sha256"] for p, c in zip(runs["parent"], runs["change"])
+    )
+    summary["failed_operations"] = {side: sum(r["failed"] for r in runs[side]) for side in SIDES}
+    summary["all_correct"] = all(r["correct"] for side in SIDES for r in runs[side])
+    return summary
+
+
+def digest_run(tree: str, config: str, threads: int) -> dict:
+    with tempfile.TemporaryDirectory() as out:
+        cmd = [sys.executable, "-m", "banditlab.cli", "sweep", "--config", config,
+               "--out", out, "--threads", str(threads)]
+        start = time.perf_counter()
+        done = subprocess.run(cmd, cwd=tree, env=_env(tree), capture_output=True, text=True)
+        wall = time.perf_counter() - start
+        record = {"exit": done.returncode, "wall_s": wall}
+        for name in ("results.csv", "curves.csv"):
+            path = os.path.join(out, name)
+            if os.path.exists(path):
+                with open(path, "rb") as fh:
+                    record[name] = hashlib.sha256(fh.read()).hexdigest()
+    return record
+
+
+def tier1_run(tree: str) -> dict:
+    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+           "--durations=0", "-p", "no:cacheprovider"]
+    start = time.perf_counter()
+    done = subprocess.run(cmd, cwd=tree, env=_env(tree), capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    text = done.stdout
+    counts = {name: int(n) for n, name in re.findall(r"(\d+) (passed|failed|error)", text)}
+    calls = {}
+    for secs, test in re.findall(r"^([\d.]+)s call\s+(\S+)$", text, re.MULTILINE):
+        if float(secs) >= 1.0:
+            calls[test.split("::")[-1]] = float(secs)
+    return {
+        "wall_s": wall,
+        "exit": done.returncode,
+        **counts,
+        "failing": re.findall(r"^FAILED (\S+)", text, re.MULTILINE),
+        "test_call_s_at_least_1s": calls,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="source tree of the parent commit")
+    parser.add_argument("--change", required=True, help="source tree of the change")
+    parser.add_argument("--pairs", action="append", default=[], metavar="WORKLOAD:FIRST-LAST")
+    parser.add_argument("--seconds", type=float, default=55.0)
+    parser.add_argument("--digest", action="append", default=[], metavar="CONFIG")
+    parser.add_argument("--digest-threads", default="1,2")
+    parser.add_argument("--tier1", action="store_true")
+    parser.add_argument("--title", default="")
+    parser.add_argument("--note", action="append", default=[], help="free text kept in the record")
+    parser.add_argument("--out", required=True)
+    argv = sys.argv[1:] if argv is None else argv
+    args = parser.parse_args(argv)
+    trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    with open(os.path.join(trees["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
+        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+
+    import numpy
+
+    names = {args.parent: "<parent tree>", args.change: "<change tree>"}
+    names.update((config, os.path.basename(config)) for config in args.digest)
+    record = {
+        "title": args.title,
+        "notes": args.note,
+        "command": ["python3", "tools/bench_pairs.py", *(names.get(a, a) for a in argv)],
+        "host": {"nproc": os.cpu_count(), "machine": platform.machine(),
+                 "python": platform.python_version(), "numpy": numpy.__version__},
+        "trees": {side: _describe(tree) for side, tree in trees.items()},
+        "workloads": {},
+    }
+    for spec in args.pairs:
+        workload, seeds = _seeds(spec)
+        runs = {side: [] for side in SIDES}
+        for i, seed in enumerate(seeds):
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            for side in order:
+                runs[side].append(bench_run(trees[side], workload, seed, args.seconds))
+                print(f"{workload} seed {seed} {side}: "
+                      f"{runs[side][-1]['metrics']}", file=sys.stderr, flush=True)
+        record["workloads"][workload] = {"summary": summarise(runs, better), "runs": runs}
+
+    threads = [int(t) for t in args.digest_threads.split(",")]
+    for config in args.digest:
+        path = os.path.abspath(config)
+        with open(path, "rb") as fh:
+            entry = {"config_sha256": hashlib.sha256(fh.read()).hexdigest()}
+        for n in threads:
+            for side in SIDES:
+                entry[f"{side} threads={n}"] = digest_run(trees[side], path, n)
+            pair = [entry[f"{side} threads={n}"] for side in SIDES]
+            entry[f"same_bytes threads={n}"] = all(
+                pair[0].get(name) == pair[1].get(name) is not None
+                for name in ("results.csv", "curves.csv")
+            )
+        record.setdefault("csv_digests", {})[os.path.basename(config)] = entry
+
+    if args.tier1:
+        record["tier1"] = {side: tier1_run(trees[side]) for side in SIDES}
+
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=1)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
