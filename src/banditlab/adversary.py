@@ -12,15 +12,19 @@ engine resolves it with :func:`resolve_corruption_runs` before round 0, as
 runs of rounds that share one corrupted vector; :func:`resolve_corruption`
 gives the same as a per-round table, and :func:`apply_corruption` is the
 same arithmetic one round at a time.
+
+Schedules and the rounds of a run are read-only sequences of ints: a
+``range`` for the arithmetic schemes (``consecutive``, ``even_steps``,
+``delayed_block``) and a sorted tuple otherwise, so resolving an episode's
+corruption costs O(runs), not O(rounds), in Python objects.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -83,13 +87,16 @@ def default_per_step_cost(instance: BanditInstance, strategy: str) -> float:
 
 def build_schedule(
     plan: CorruptionPlan, per_step_cost: float, rng: np.random.Generator | None = None
-) -> tuple[int, ...]:
-    """Rounds at which corruption will be applied, sorted ascending.
+) -> Sequence[int]:
+    """Rounds at which corruption will be applied, sorted ascending and distinct.
 
     The number of rounds is ceil(budget / per_step_cost): every scheduled
     round carries the full per-step cost except the last, which carries the
-    residual. Raises :class:`BudgetExceedsHorizonCapacity` when the scheme
-    cannot place that many rounds inside the horizon.
+    residual. The result is read-only: a ``range`` for ``consecutive``,
+    ``even_steps`` and ``delayed_block``, a tuple for the other schemes (and
+    ``()`` when nothing is scheduled). Raises
+    :class:`BudgetExceedsHorizonCapacity` when the scheme cannot place that
+    many rounds inside the horizon.
     """
     if plan.scheme == "none" or plan.budget == 0.0:
         return ()
@@ -113,20 +120,20 @@ def build_schedule(
             raise BudgetExceedsHorizonCapacity(
                 f"{n} consecutive corrupted rounds do not fit in horizon {t_max}"
             )
-        return tuple(range(n))
+        return range(n)
     if plan.scheme == "even_steps":
         if 2 * (n - 1) >= t_max:
             raise BudgetExceedsHorizonCapacity(
                 f"{n} even-step corrupted rounds do not fit in horizon {t_max}"
             )
-        return tuple(range(0, 2 * n, 2))
+        return range(0, 2 * n, 2)
     if plan.scheme == "delayed_block":
         start = t_max // 4
         if start + n > t_max:
             raise BudgetExceedsHorizonCapacity(
                 f"{n} corrupted rounds starting at {start} do not fit in horizon {t_max}"
             )
-        return tuple(range(start, start + n))
+        return range(start, start + n)
     if plan.scheme == "random_early":
         window = t_max // 10
         if n > window:
@@ -146,12 +153,14 @@ class CorruptionLedger:
 
     ``spent`` increases by the *realized* cost of each corrupted round
     (max_a |r_a - r'_a|, recomputed from the shifted vector), so
-    ``spent <= plan.budget`` holds at all times.
+    ``spent <= plan.budget`` holds at all times. ``schedule`` is what
+    :func:`build_schedule` returns: a read-only sequence (a ``range`` or a
+    tuple), ascending.
     """
 
     plan: CorruptionPlan
     per_step_cost: float
-    schedule: tuple[int, ...]
+    schedule: Sequence[int]
     spent: float = 0.0
 
     @cached_property
@@ -187,8 +196,8 @@ def _shifted(means: tuple[float, ...], a_best: int, a_worst: int | None, shift: 
 
 
 def _charge(
-    instance: BanditInstance, ledger: CorruptionLedger, rounds: tuple[int, ...]
-) -> list[tuple[tuple[int, ...], tuple[float, ...], float]]:
+    instance: BanditInstance, ledger: CorruptionLedger, rounds: Sequence[int]
+) -> list[tuple[Sequence[int], tuple[float, ...], float]]:
     """Corrupt scheduled ``rounds`` in order, charging each realized cost to the ledger.
 
     Each round shifts by ``min(per_step_cost, remaining budget)`` and costs
@@ -196,10 +205,13 @@ def _charge(
     the result, which is a list of runs ``(rounds, corrupted means, cost)``
     in round order. While the remaining budget covers ``per_step_cost``,
     every round takes the same full shift: that run is charged with one
-    sequential accumulate of its cost, and a bisect finds the first round
-    whose remaining budget falls below ``per_step_cost``. The residual and
-    clipped rounds after it are charged one at a time, their vector and cost
-    recomputed only when the shift changes.
+    sequential ``np.add.accumulate`` of its cost seeded with the spend so far
+    (the additions the per-round loop makes, in its order), and ends at the
+    first round whose remaining budget falls below ``per_step_cost`` or
+    reaches 0. It keeps its rounds as a slice of ``rounds``, so a ``range``
+    stays a ``range``. The residual and clipped rounds after it are charged
+    one at a time, their vector and cost recomputed only when the shift
+    changes.
     """
     means = instance.means
     a_best = instance.optimal_arm
@@ -210,20 +222,26 @@ def _charge(
     per_step = ledger.per_step_cost
     spent = ledger.spent
 
-    def partial(spent: float) -> bool:
-        # The loop below would not give this round the full shift.
+    def partial(spent):
+        # The loop below would not give a round at this spend (a float or an
+        # array of them) the full shift.
         remaining = budget - spent
-        return remaining <= 0.0 or remaining < per_step
+        return (remaining <= 0.0) | (remaining < per_step)
 
     runs = []
-    if rounds and not partial(spent):
+    # A lone round (an apply_corruption call) skips the numpy set-up; the
+    # loop below charges it the same.
+    if len(rounds) > 1 and not partial(spent):
         shifted, cost = _shifted(means, a_best, a_worst, per_step)
         # spends[i] is the spend before rounds[i], summed in round order;
         # it never falls, so partial() flips at most once along it.
-        spends = list(accumulate(repeat(cost, len(rounds)), initial=spent))
-        full = bisect_left(spends, True, hi=len(rounds), key=partial)
+        spends = np.full(len(rounds) + 1, cost)
+        spends[0] = spent
+        np.add.accumulate(spends, out=spends)
+        flips = partial(spends[:-1])
+        full = int(flips.argmax()) if flips[-1] else len(rounds)
         runs.append((rounds[:full], shifted, cost))
-        spent = spends[full]
+        spent = float(spends[full])
         rounds = rounds[full:]
     last_shift = hit = None
     for t in rounds:
@@ -275,12 +293,15 @@ def resolve_corruption(
 
 def resolve_corruption_runs(
     instance: BanditInstance, ledger: CorruptionLedger
-) -> list[tuple[tuple[int, ...], tuple[float, ...], float]]:
+) -> list[tuple[Sequence[int], tuple[float, ...], float]]:
     """:func:`resolve_corruption` as runs ``(rounds, corrupted means, cost)``.
 
     The rounds of a run share one corrupted vector and one per-round cost;
     runs are in round order, and together they cover exactly the rounds
-    :func:`resolve_corruption` returns. This compact form lets the engine
-    fill its per-round tables a run at a time.
+    :func:`resolve_corruption` returns. A run's rounds are a read-only slice
+    of the schedule: a ``range`` when the schedule is one (so the full-shift
+    run of an arithmetic scheme is one object however long), a tuple
+    otherwise. This compact form lets the engine fill its per-round tables a
+    run at a time.
     """
     return _charge(instance, ledger, ledger.schedule)

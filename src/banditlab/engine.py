@@ -28,7 +28,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -175,7 +175,10 @@ def run_episode(
     round's *corrupted* mean and fed back to the policy, and the arm's
     true-mean gap is added to the pseudo-regret. The adversary is oblivious,
     so its corruption of every round, and the spend its ledger charges, are
-    resolved before round 0 and the loop only looks the means up.
+    resolved before round 0 and the loop only looks the means up. That
+    set-up costs O(runs of rounds that share a corrupted vector), not
+    O(corrupted rounds): a run of an arithmetic schedule is one ``range``,
+    written into the per-round row index as one slice.
     Checkpoints outside [1, horizon] are ignored. Per-round arms and rewards
     are not kept; a policy wrapper sees each pair through ``update``.
 
@@ -200,7 +203,7 @@ def run_episode(
     row_of = {instance.means: 0}
     rows = np.zeros(horizon, dtype=np.intp)
     for rounds, means, _ in resolve_corruption_runs(instance, ledger):
-        rows[np.array(rounds, dtype=np.intp)] = row_of.setdefault(means, len(row_of))
+        rows[_round_index(rounds)] = row_of.setdefault(means, len(row_of))
     vectors = list(row_of)
 
     if checkpoints is None:
@@ -262,6 +265,13 @@ def run_episode(
         checkpoints=curve,
         realized_spend=ledger.spent,
     )
+
+
+def _round_index(rounds):
+    """A run's rounds as an index into a per-round array: a slice for a ``range``, else an array."""
+    if isinstance(rounds, range):
+        return slice(rounds.start, rounds.stop, rounds.step)
+    return np.asarray(rounds, dtype=np.intp)
 
 
 def _play_blocks(policy, policy_rng, uniforms, table, rows, gaps, pending, stops, stamps):
@@ -341,6 +351,7 @@ def run_lockstep(
     vectors = []
     tables = []
     spends = []
+    positions = np.arange(horizon, dtype=np.intp)
     for inst, seed in zip(instances, seeds):
         ledger = make_ledger(inst, plan, per_step_cost, make_stream(split_seed(seed, _ADVERSARY)))
         runs = resolve_corruption_runs(inst, ledger)
@@ -348,7 +359,7 @@ def run_lockstep(
         first = len(vectors) + 1
         tables.append((
             len(vectors) * k,
-            np.fromiter(chain.from_iterable(r for r, _, _ in runs), np.intp, sum(sizes)),
+            np.concatenate([positions[:0], *(positions[_round_index(r)] for r, _, _ in runs)]),
             np.repeat(np.arange(first, first + len(runs)) * k, sizes),
         ))
         vectors.append(inst.means)

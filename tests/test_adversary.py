@@ -1,4 +1,5 @@
 import math
+from itertools import accumulate, repeat
 
 import numpy as np
 import pytest
@@ -66,13 +67,13 @@ class TestBuildSchedule:
     def test_even_steps_spacing(self):
         plan = CorruptionPlan(scheme="even_steps", budget=4.5, horizon=100)
         sched = build_schedule(plan, 0.9)
-        assert sched == (0, 2, 4, 6, 8)
+        assert tuple(sched) == (0, 2, 4, 6, 8)
 
     def test_delayed_block_starts_at_quarter(self):
         plan = CorruptionPlan(scheme="delayed_block", budget=9.0, horizon=100_000)
         sched = build_schedule(plan, 0.9)
         assert sched[0] == 25_000
-        assert sched == tuple(range(25_000, 25_010))
+        assert tuple(sched) == tuple(range(25_000, 25_010))
 
     def test_random_early_in_first_tenth(self):
         plan = CorruptionPlan(scheme="random_early", budget=90.0, horizon=10_000)
@@ -355,3 +356,177 @@ class TestChargeMatchesScalarLoop:
                     want = (instance.means, 0.0)
                 assert bits({t: got}) == bits({t: want})
                 assert led.spent.hex() == ref.spent.hex()
+
+
+def reference_schedule(plan, per_step_cost, rng=None):
+    """build_schedule when it returned a tuple for every scheme, kept verbatim as the reference."""
+    if plan.scheme == "none" or plan.budget == 0.0:
+        return ()
+    if per_step_cost <= 0:
+        raise ValueError(f"per_step_cost must be > 0, got {per_step_cost}")
+    n = math.ceil(plan.budget / per_step_cost)
+    t_max = plan.horizon
+
+    if plan.scheme == "custom":
+        rounds = tuple(sorted(int(t) for t in plan.custom_rounds))
+        if rounds and (rounds[0] < 0 or rounds[-1] >= t_max):
+            raise BudgetExceedsHorizonCapacity(
+                f"custom round outside horizon {t_max}: {rounds}"
+            )
+        if len(set(rounds)) != len(rounds):
+            raise ValueError("custom rounds must be distinct")
+        return rounds
+
+    if plan.scheme == "consecutive":
+        if n > t_max:
+            raise BudgetExceedsHorizonCapacity(
+                f"{n} consecutive corrupted rounds do not fit in horizon {t_max}"
+            )
+        return tuple(range(n))
+    if plan.scheme == "even_steps":
+        if 2 * (n - 1) >= t_max:
+            raise BudgetExceedsHorizonCapacity(
+                f"{n} even-step corrupted rounds do not fit in horizon {t_max}"
+            )
+        return tuple(range(0, 2 * n, 2))
+    if plan.scheme == "delayed_block":
+        start = t_max // 4
+        if start + n > t_max:
+            raise BudgetExceedsHorizonCapacity(
+                f"{n} corrupted rounds starting at {start} do not fit in horizon {t_max}"
+            )
+        return tuple(range(start, start + n))
+    if plan.scheme == "random_early":
+        window = t_max // 10
+        if n > window:
+            raise BudgetExceedsHorizonCapacity(
+                f"{n} distinct corrupted rounds do not fit in the first {window} rounds"
+            )
+        if rng is None:
+            raise ValueError("random_early schedule needs an rng")
+        picks = rng.choice(window, size=n, replace=False)
+        return tuple(sorted(int(t) for t in picks))
+    raise AssertionError(f"unhandled scheme {plan.scheme}")
+
+
+ARITHMETIC_SCHEMES = ("consecutive", "even_steps", "delayed_block")
+
+
+def capacity(scheme, horizon):
+    """The most rounds the scheme places inside the horizon."""
+    if scheme == "consecutive":
+        return horizon
+    if scheme == "even_steps":
+        return (horizon - 1) // 2 + 1
+    return horizon - horizon // 4
+
+
+class TestRangeScheduleMatchesTuples:
+    """The arithmetic schemes return a range with the rounds, and errors, of the tuple version."""
+
+    def _same(self, plan, per_step_cost):
+        try:
+            want = reference_schedule(plan, per_step_cost)
+        except BudgetExceedsHorizonCapacity:
+            with pytest.raises(BudgetExceedsHorizonCapacity):
+                build_schedule(plan, per_step_cost)
+            return False
+        got = build_schedule(plan, per_step_cost)
+        assert tuple(got) == want
+        assert type(got) is (tuple if plan.scheme == "none" or plan.budget == 0.0 else range)
+        return True
+
+    @pytest.mark.parametrize("scheme", ARITHMETIC_SCHEMES)
+    @pytest.mark.parametrize("horizon", [1, 2, 3, 7, 100, 101, 10_000])
+    @pytest.mark.parametrize("per_step_cost", [0.1, 0.25, 0.9, 1.0, 3.0])
+    def test_capacity_edges(self, scheme, horizon, per_step_cost):
+        # Budgets of n rounds' cost for n just under, at and just over the
+        # scheme's capacity, each nudged one ulp either way: ceil(budget / cost)
+        # lands on both sides of the edge.
+        fits = []
+        cap = capacity(scheme, horizon)
+        for n in (1, cap - 1, cap, cap + 1):
+            budget = n * per_step_cost
+            for b in (math.nextafter(budget, 0.0), budget, math.nextafter(budget, math.inf)):
+                if b > 0.0:
+                    plan = CorruptionPlan(scheme=scheme, budget=b, horizon=horizon)
+                    fits.append((n, self._same(plan, per_step_cost)))
+        # Something fits at the capacity, nothing past it.
+        assert (cap, True) in fits and (cap + 1, False) in fits
+
+    @pytest.mark.parametrize("scheme", ARITHMETIC_SCHEMES)
+    def test_phased_grid_and_capacity_errors(self, scheme):
+        # grid_phased_corrupt's schedule, the capacity errors of
+        # TestBuildSchedule, and a zero budget.
+        for budget, horizon, cost in [(480.0, 10_000, 0.1), (100.0, 100, 0.9),
+                                      (100.0, 222, 0.9), (100.0, 140, 0.9), (0.0, 50, 0.1)]:
+            self._same(CorruptionPlan(scheme=scheme, budget=budget, horizon=horizon), cost)
+
+    def test_other_schemes_stay_tuples(self):
+        for plan in (
+            CorruptionPlan(scheme="random_early", budget=9.0, horizon=1000),
+            CorruptionPlan(scheme="custom", budget=2.0, horizon=50, custom_rounds=(9, 3, 30)),
+            CorruptionPlan(scheme="none", budget=5.0, horizon=50),
+        ):
+            got = build_schedule(plan, 0.9, rng(4))
+            assert type(got) is tuple and got == reference_schedule(plan, 0.9, rng(4))
+
+
+class TestLongFullShiftRuns:
+    """The numpy spend scan charges long full-shift runs as the per-round loop does."""
+
+    def _check(self, plan, per_step_cost, start=0.0, instance=None):
+        # The ladder is grid_phased_corrupt's instance.
+        instance = instance or ladder_instance()
+        led, ref = (make_ledger(instance, plan, per_step_cost) for _ in range(2))
+        led.spent = ref.spent = start
+        want = reference_charge(instance, ref, ref.schedule)
+        runs = resolve_corruption_runs(instance, led)
+        # Each run's rounds, vector and cost, expanded round by round.
+        got = {t: (means, cost) for rounds, means, cost in runs for t in rounds}
+        assert list(got) == list(want)
+        assert bits(got) == bits(want)
+        assert led.spent.hex() == ref.spent.hex()
+        # The full-shift run is one slice of the range schedule.
+        assert isinstance(runs[0][0], range)
+        assert all(len(rounds) == 1 for rounds, _, _ in runs[1:])
+        return runs
+
+    @pytest.mark.parametrize("scheme", ["consecutive", "even_steps"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_phased_grid(self, scheme, strategy):
+        plan = CorruptionPlan(scheme=scheme, budget=480.0, strategy=strategy, horizon=10_000)
+        runs = self._check(plan, 0.1)
+        assert len(runs[0][0]) + len(runs) - 1 == len(build_schedule(plan, 0.1)) == 4800
+
+    @pytest.mark.parametrize("scheme", ARITHMETIC_SCHEMES)
+    def test_exact_budget_is_one_run(self, scheme):
+        # Costs and budget exact in binary: the last round's remaining budget
+        # equals per_step_cost, so it still takes the full shift, and the
+        # whole schedule is one run.
+        plan = CorruptionPlan(scheme=scheme, budget=1000.0, horizon=10_000)
+        runs = self._check(plan, 0.25, instance=make_instance((0.25, 0.5, 0.75)))
+        assert len(runs) == 1 and runs[0][0] == build_schedule(plan, 0.25)
+
+    @pytest.mark.parametrize("scheme", ARITHMETIC_SCHEMES)
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("start", [0.0, 0.35])
+    def test_spend_one_ulp_from_last_full_round(self, scheme, strategy, start):
+        # Budgets where the sequential spend before round n lands within one
+        # ulp of budget - per_step_cost, on either side, so the scan must
+        # stop at exactly the round the loop would.
+        per_step = 0.1
+        one = CorruptionPlan(scheme="consecutive", budget=1.0, strategy=strategy, horizon=10)
+        inst = ladder_instance()
+        _, cost = apply_corruption(inst, make_ledger(inst, one, per_step), 0)
+        n = 3000
+        spend = list(accumulate(repeat(cost, n), initial=start))[n]
+        edge = spend + per_step
+        ends = set()
+        for budget in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)):
+            assert abs(spend - (budget - per_step)) <= math.ulp(budget)
+            plan = CorruptionPlan(scheme=scheme, budget=budget, strategy=strategy, horizon=10_000)
+            runs = self._check(plan, per_step, start)
+            ends.add(len(runs[0][0]))
+        # The last ulp decides whether round n still takes the full shift.
+        assert ends == {n, n + 1}

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from banditlab import engine
-from banditlab.adversary import make_ledger
+from banditlab.adversary import make_ledger, resolve_corruption_runs
 from banditlab.baselines import _solve_weight_scale, _solve_weight_scales, make_policy
 from banditlab.core import make_instance, ordered_column_sums
 from banditlab.engine import (
@@ -245,6 +245,26 @@ class TestLockstepMatchesEpisodes:
             checkpoints=[0, 1500, 3, 3, 1499, 9000, 1], per_step_cost=0.25,
         )
         assert [t for t, _ in traces[0].checkpoints] == [1, 3, 1499, 1500]
+
+    @pytest.mark.parametrize("scheme", ["consecutive", "even_steps"])
+    @pytest.mark.parametrize("algorithm", LOCKSTEP_ALGORITHMS)
+    def test_range_schedules(self, algorithm, scheme, streams, monkeypatch):
+        # Range schedules: each replication's full-shift run is one range,
+        # cut by windows, followed by a residual round.
+        monkeypatch.setattr(engine, "_LOCKSTEP_WINDOW", 700)
+        horizon, reps = 3000, 4
+        seeds = [split_seed(61, i) for i in range(reps)]
+        instances = [InstanceSpec(k=6).resolve(seed) for seed in seeds]
+        plan = PlanSpec(scheme=scheme, budget=212.3, strategy="swap_extremes").bind(horizon)
+        for inst in instances:
+            runs = resolve_corruption_runs(inst, make_ledger(inst, plan, 0.15))
+            assert isinstance(runs[0][0], range) and len(runs[0][0]) > 700
+            assert len(runs) == 2
+        policies = [_policy(algorithm, 6) for _ in seeds]
+        singles = [_policy(algorithm, 6) for _ in seeds]
+        _lockstep_vs_episodes(
+            policies, singles, instances, plan, horizon, seeds, streams, per_step_cost=0.15
+        )
 
     def test_single_replication(self, streams):
         seeds = [split_seed(8, 0)]

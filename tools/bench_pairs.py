@@ -5,7 +5,7 @@ Usage (from anywhere):
     python3 tools/bench_pairs.py --parent PARENT_TREE --change CHANGE_TREE \\
         --pairs grid_gradient:3201-3210 --pairs grid_phased_corrupt:3301-3310 \\
         --seconds 55 --digest configs/quickstart.json --tier1 \\
-        --title "what changed" --out BENCH_7_name.json
+        --probe grid_phased_corrupt:3401 --title "what changed" --out BENCH_8_name.json
 
 For every seed of every ``--pairs WORKLOAD:FIRST-LAST`` range it runs
 ``benchmark/run.py --workload WORKLOAD --seed SEED --seconds S --trace 0`` in
@@ -21,6 +21,12 @@ in both trees with each of ``--digest-threads`` and records the SHA-256 of
 ``results.csv`` and ``curves.csv`` and the wall time. ``--tier1`` runs the
 tier-1 suite once per tree (parent first) with per-test durations, and
 records passed/failed counts, failing tests and the slowest calls.
+``--probe WORKLOAD:SEED`` runs ``--probe-repeats`` alternated rounds of
+fresh interpreters per tree: the workload's ``banditlab.cli.main`` call on
+its config at ``--threads`` 1 and 2, timed inside the interpreter, and the
+benchmark's adversary profile (``adversary.*`` per-layer metrics, among them
+the one-round ``apply_corruption`` cost); it records every reading and the
+medians.
 
 Runs are sequential and use at most the workers the benchmark itself starts.
 Relative paths are taken from the current directory. The record names each
@@ -43,6 +49,27 @@ import tempfile
 import time
 
 SIDES = ("parent", "change")
+
+# Run in a fresh interpreter at the root of a tree:
+#   -c PROBE WORKLOAD SEED {1,2,...|adversary}
+PROBE = """
+import json, os, sys, tempfile
+sys.path.insert(0, "benchmark")
+import workloads as wl
+workload, seed, what = wl.WORKLOADS[sys.argv[1]], int(sys.argv[2]), sys.argv[3]
+cfg = workload.make_config(seed)
+if what == "adversary":
+    import layers, tracing
+    metrics, _ = layers.adversary_profile(cfg, seed, tracing.Tracer())
+    print(json.dumps({name: value for name, (value, _) in metrics.items()}))
+else:
+    with tempfile.TemporaryDirectory() as work:
+        config = wl.write_config(cfg, os.path.join(work, "config.json"))
+        argv = workload.argv(config, os.path.join(work, "out"), seed)
+        argv[argv.index("--threads") + 1] = what
+        code, _, wall = wl.call_cli(argv)
+        print(json.dumps({"exit": code, "cli_wall_s": wall}))
+"""
 
 
 def _env(tree: str) -> dict:
@@ -144,6 +171,23 @@ def tier1_run(tree: str) -> dict:
     }
 
 
+def probe(trees: dict, spec: str, repeats: int) -> dict:
+    workload, seeds = _seeds(spec)
+    readings = {side: {} for side in SIDES}
+    for i in range(repeats):
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            for what in ("1", "2", "adversary"):
+                cmd = [sys.executable, "-c", PROBE, workload, str(seeds[0]), what]
+                out = subprocess.run(cmd, cwd=trees[side], env=_env(trees[side]), check=True,
+                                     capture_output=True, text=True).stdout
+                for name, value in json.loads(out).items():
+                    key = name if what == "adversary" else f"{name} threads={what}"
+                    readings[side].setdefault(key, []).append(value)
+    medians = {side: {key: statistics.median(values) for key, values in readings[side].items()}
+               for side in SIDES}
+    return {"workload": workload, "seed": seeds[0], "medians": medians, "readings": readings}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="source tree of the parent commit")
@@ -153,6 +197,8 @@ def main(argv=None) -> int:
     parser.add_argument("--digest", action="append", default=[], metavar="CONFIG")
     parser.add_argument("--digest-threads", default="1,2")
     parser.add_argument("--tier1", action="store_true")
+    parser.add_argument("--probe", action="append", default=[], metavar="WORKLOAD:SEED")
+    parser.add_argument("--probe-repeats", type=int, default=7)
     parser.add_argument("--title", default="")
     parser.add_argument("--note", action="append", default=[], help="free text kept in the record")
     parser.add_argument("--out", required=True)
@@ -200,6 +246,9 @@ def main(argv=None) -> int:
                 for name in ("results.csv", "curves.csv")
             )
         record.setdefault("csv_digests", {})[os.path.basename(config)] = entry
+
+    for spec in args.probe:
+        record.setdefault("probes", []).append(probe(trees, spec, args.probe_repeats))
 
     if args.tier1:
         record["tier1"] = {side: tier1_run(trees[side]) for side in SIDES}
