@@ -203,7 +203,7 @@ def run_episode(
     row_of = {instance.means: 0}
     rows = np.zeros(horizon, dtype=np.intp)
     for rounds, means, _ in resolve_corruption_runs(instance, ledger):
-        rows[_round_index(rounds)] = row_of.setdefault(means, len(row_of))
+        rows[_round_index(rounds, horizon)] = row_of.setdefault(means, len(row_of))
     vectors = list(row_of)
 
     if checkpoints is None:
@@ -267,9 +267,14 @@ def run_episode(
     )
 
 
-def _round_index(rounds):
-    """A run's rounds as an index into a per-round array: a slice for a ``range``, else an array."""
+def _round_index(rounds, horizon: int):
+    """A run's rounds as an index into a per-round array of length ``horizon``:
+    a slice for a ``range``, else an array. A round at or past the horizon
+    raises ``IndexError``, as an index array does, where a slice would drop it.
+    """
     if isinstance(rounds, range):
+        if rounds and rounds[-1] >= horizon:
+            raise IndexError(f"round {rounds[-1]} is out of bounds for a horizon of {horizon}")
         return slice(rounds.start, rounds.stop, rounds.step)
     return np.asarray(rounds, dtype=np.intp)
 
@@ -359,7 +364,7 @@ def run_lockstep(
         first = len(vectors) + 1
         tables.append((
             len(vectors) * k,
-            np.concatenate([positions[:0], *(positions[_round_index(r)] for r, _, _ in runs)]),
+            np.concatenate([positions[:0], *(positions[_round_index(r, horizon)] for r, _, _ in runs)]),
             np.repeat(np.arange(first, first + len(runs)) * k, sizes),
         ))
         vectors.append(inst.means)

@@ -179,6 +179,22 @@ class TestRunEpisode:
     def test_records_algorithm_name(self):
         assert self._run()[0].algorithm == "samba"
 
+    @pytest.mark.parametrize(
+        "scheme, horizon",
+        [("consecutive", 3999), ("even_steps", 7998), ("delayed_block", 6499)],
+    )
+    def test_schedule_past_horizon_raises(self, scheme, horizon):
+        # A plan bound to a longer horizon whose schedule (4,000 rounds, the
+        # last at `horizon`) does not fit the episode: no round is dropped.
+        inst = make_instance((0.2, 0.5, 0.9))
+        plan = CorruptionPlan(scheme=scheme, budget=1000.0, horizon=10_000)
+        with pytest.raises(IndexError, match=f"round {horizon} "):
+            run_episode(SambaPolicy(3, alpha=0.05), inst, plan, horizon, 5, per_step_cost=0.25)
+        trace = run_episode(
+            SambaPolicy(3, alpha=0.05), inst, plan, horizon + 1, 5, per_step_cost=0.25
+        )
+        assert trace.spent() == 1000.0
+
 
 def reference_episode(policy, instance, plan, horizon, seed, per_step_cost, checkpoints):
     """The per-round loop run_episode replaced: apply_corruption on every round."""

@@ -21,8 +21,8 @@ in both trees with each of ``--digest-threads`` and records the SHA-256 of
 ``results.csv`` and ``curves.csv`` and the wall time. ``--tier1`` runs the
 tier-1 suite once per tree (parent first) with per-test durations, and
 records passed/failed counts, failing tests and the slowest calls.
-``--probe WORKLOAD:SEED`` runs ``--probe-repeats`` alternated rounds of
-fresh interpreters per tree: the workload's ``banditlab.cli.main`` call on
+``--probe WORKLOAD:SEED`` (one seed) runs ``PROBE_REPEATS`` alternated
+rounds of fresh interpreters per tree: the workload's ``banditlab.cli.main`` call on
 its config at ``--threads`` 1 and 2, timed inside the interpreter, and the
 benchmark's adversary profile (``adversary.*`` per-layer metrics, among them
 the one-round ``apply_corruption`` cost); it records every reading and the
@@ -49,6 +49,7 @@ import tempfile
 import time
 
 SIDES = ("parent", "change")
+PROBE_REPEATS = 7
 
 # Run in a fresh interpreter at the root of a tree:
 #   -c PROBE WORKLOAD SEED {1,2,...|adversary}
@@ -81,6 +82,13 @@ def _seeds(spec: str) -> tuple[str, list[int]]:
     workload, _, span = spec.partition(":")
     first, _, last = span.partition("-")
     return workload, list(range(int(first), int(last or first) + 1))
+
+
+def _probe_seed(spec: str) -> tuple[str, int]:
+    workload, _, seed = spec.partition(":")
+    if not seed.isdigit():
+        raise SystemExit(f"--probe takes WORKLOAD:SEED with one seed, got {spec!r}")
+    return workload, int(seed)
 
 
 def _describe(tree: str) -> str:
@@ -171,13 +179,12 @@ def tier1_run(tree: str) -> dict:
     }
 
 
-def probe(trees: dict, spec: str, repeats: int) -> dict:
-    workload, seeds = _seeds(spec)
+def probe(trees: dict, workload: str, seed: int) -> dict:
     readings = {side: {} for side in SIDES}
-    for i in range(repeats):
+    for i in range(PROBE_REPEATS):
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
             for what in ("1", "2", "adversary"):
-                cmd = [sys.executable, "-c", PROBE, workload, str(seeds[0]), what]
+                cmd = [sys.executable, "-c", PROBE, workload, str(seed), what]
                 out = subprocess.run(cmd, cwd=trees[side], env=_env(trees[side]), check=True,
                                      capture_output=True, text=True).stdout
                 for name, value in json.loads(out).items():
@@ -185,7 +192,7 @@ def probe(trees: dict, spec: str, repeats: int) -> dict:
                     readings[side].setdefault(key, []).append(value)
     medians = {side: {key: statistics.median(values) for key, values in readings[side].items()}
                for side in SIDES}
-    return {"workload": workload, "seed": seeds[0], "medians": medians, "readings": readings}
+    return {"workload": workload, "seed": seed, "medians": medians, "readings": readings}
 
 
 def main(argv=None) -> int:
@@ -198,12 +205,12 @@ def main(argv=None) -> int:
     parser.add_argument("--digest-threads", default="1,2")
     parser.add_argument("--tier1", action="store_true")
     parser.add_argument("--probe", action="append", default=[], metavar="WORKLOAD:SEED")
-    parser.add_argument("--probe-repeats", type=int, default=7)
     parser.add_argument("--title", default="")
     parser.add_argument("--note", action="append", default=[], help="free text kept in the record")
     parser.add_argument("--out", required=True)
     argv = sys.argv[1:] if argv is None else argv
     args = parser.parse_args(argv)
+    probes = [_probe_seed(spec) for spec in args.probe]
     trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     with open(os.path.join(trees["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
@@ -247,8 +254,8 @@ def main(argv=None) -> int:
             )
         record.setdefault("csv_digests", {})[os.path.basename(config)] = entry
 
-    for spec in args.probe:
-        record.setdefault("probes", []).append(probe(trees, spec, args.probe_repeats))
+    for workload, seed in probes:
+        record.setdefault("probes", []).append(probe(trees, workload, seed))
 
     if args.tier1:
         record["tier1"] = {side: tier1_run(trees[side]) for side in SIDES}
