@@ -179,30 +179,37 @@ def _clamp(p: list[float]) -> None:
 
 
 class SambaLockstep:
-    """Several SAMBA policies with one step size, advanced together.
+    """Several SAMBA states with one step size, advanced together.
 
-    ``pick(u)`` and ``update(arms, rewards)`` take one entry per policy. The
-    simplex points are a (K, R) matrix, one column per policy, and each
-    column does exactly the arithmetic of :func:`samba_pick` and
-    :func:`samba_update` on its own policy: the selection scan is a
-    sequential cumsum, the leader's ``1 - rest`` sums the other coordinates in
-    order (the leader's own term is zeroed, and adding 0.0 is exact), the
-    leader is the first argmax, and a column whose floor fires is clamped by
-    the scalar code. Only rewarded columns take the new values. So every
-    column stays bit-identical to its policy played alone; :meth:`store`
-    writes the columns back into the policies.
+    The only batched SAMBA update: the engine's lockstep cells and verify's
+    Monte-Carlo checks run it. ``p`` is a C-contiguous (K, R) matrix, one
+    column per state, updated in place. ``pick(u)`` and ``update(arms,
+    rewards)`` take one entry per column, and each column does exactly the
+    arithmetic of :func:`samba_pick` and :func:`samba_update` on its own
+    state: the selection scan is a sequential cumsum, the leader's
+    ``1 - rest`` sums the other coordinates in order (the leader's own term
+    is zeroed, and adding 0.0 is exact), the leader is the first argmax, and
+    a column whose floor fires is clamped by the scalar code. Only rewarded
+    columns take the new values. So every column stays bit-identical to its
+    state played alone.
     """
 
-    def __init__(self, policies):
+    def __init__(self, p: np.ndarray, alpha: float):
+        self.alpha = alpha
+        self.p = p
+        self.leader = p.argmax(axis=0)
+        self.cols = np.arange(p.shape[1])
+        self.clamp_events = [0] * p.shape[1]
+
+    @classmethod
+    def from_policies(cls, policies) -> "SambaLockstep":
+        """A kernel over the policies' states; :meth:`store` writes the columns back."""
         alphas = {pol.state.alpha for pol in policies}
         if len(alphas) != 1:
             raise ValueError("lockstep SAMBA policies must share one step size")
-        self.alpha = alphas.pop()
-        self.policies = policies
-        self.p = np.array([pol.state.p for pol in policies], dtype=float).T.copy()
-        self.leader = np.array([pol.state.leader for pol in policies], dtype=np.intp)
-        self.cols = np.arange(len(policies))
-        self.clamp_events = [0] * len(policies)
+        batch = cls(np.array([pol.state.p for pol in policies], dtype=float).T.copy(), alphas.pop())
+        batch.policies = policies
+        return batch
 
     def pick(self, u: np.ndarray) -> np.ndarray:
         acc = self.p[:-1].cumsum(axis=0)
@@ -240,7 +247,7 @@ class SambaPolicy:
     """Engine-facing handle around the simplex state."""
 
     name = "samba"
-    lockstep = SambaLockstep
+    lockstep = SambaLockstep.from_policies
 
     def __init__(self, k: int, alpha: float = 0.05):
         self.alpha = float(alpha)

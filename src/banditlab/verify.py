@@ -4,8 +4,11 @@ Every check here measures the real update rule by Monte Carlo and compares
 against an independently computed quantity: a closed-form branch enumeration
 for one-step drifts, an exhaustive outcome-tree expectation for small
 instances, optional-stopping recovery bounds, and the embedded-chain decay
-envelope. The Monte-Carlo side always runs the actual ``samba_update`` (or
-a caller-supplied substitute, which is how tampering fixtures force red).
+envelope. The drift checks run ``samba_update`` or a caller-supplied
+substitute (how ``--tamper-update`` forces red; it reaches no other check).
+The recovery, decay and oracle checks run the batched
+:class:`~banditlab.samba.SambaLockstep`, bit-identical per replication to
+``samba_update``.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import BanditInstance, BanditLabError, InstanceTooLarge
-from .samba import SambaState, samba_init, samba_select, samba_update
+from .samba import SambaLockstep, SambaState, samba_init, samba_select, samba_update
 
 
 class PrepFailure(BanditLabError, RuntimeError):
@@ -395,8 +398,8 @@ def tampered_update(state: SambaState, pulled: int, reward: int) -> SambaState:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized episode batches (one-step equivalence with samba_update is
-# asserted by the test suite; formulas match elementwise)
+# Vectorized episode batches: SambaLockstep, one column per replication,
+# bit-identical to samba_pick + samba_update fed the same draws
 # ---------------------------------------------------------------------------
 
 
@@ -409,32 +412,24 @@ def samba_batch_step(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance a (rows, K) matrix of independent states by one round in place.
 
-    Row-wise identical to samba_select + samba_update driven by the two
-    uniform vectors. Returns (arms, rewards).
+    An adapter over :class:`~banditlab.samba.SambaLockstep`: each row moves
+    as ``samba_pick`` + ``samba_update`` move it (its leader is its first
+    argmax), driven by the two uniform vectors. Returns (arms, rewards).
     """
-    n, k = P.shape
-    leaders = np.argmax(P, axis=1)
-    cum = np.cumsum(P, axis=1)
-    arms = np.minimum((cum <= u_arm[:, None]).sum(axis=1), k - 1)
+    kern = SambaLockstep(P.T.copy(), alpha)
+    arms = kern.pick(u_arm)
     rewards = u_rew < means[arms]
-    rows = np.nonzero(rewards)[0]
-    if rows.size:
-        r_arms = arms[rows]
-        r_leads = leaders[rows]
-        lead_rows = rows[r_arms == r_leads]
-        non_rows = rows[r_arms != r_leads]
-        if lead_rows.size:
-            p_lead = P[lead_rows, leaders[lead_rows]]
-            P[lead_rows] -= alpha * P[lead_rows] * P[lead_rows] / p_lead[:, None]
-        if non_rows.size:
-            P[non_rows, arms[non_rows]] *= 1.0 + alpha
-        rest = P[rows].sum(axis=1) - P[rows, r_leads]
-        P[rows, r_leads] = 1.0 - rest
+    kern.update(arms, rewards)
+    P[...] = kern.p.T
     return arms, rewards
 
 
-def _batch_init(reps: int, k: int) -> np.ndarray:
-    return np.full((reps, k), 1.0 / k)
+def _play_round(kern: SambaLockstep, means: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One round of every column: all arm draws, then all reward draws. Returns the arms."""
+    n = kern.p.shape[1]
+    arms = kern.pick(rng.random(n))
+    kern.update(arms, rng.random(n) < means[arms])
+    return arms
 
 
 # ---------------------------------------------------------------------------
@@ -479,38 +474,38 @@ def check_recovery_time(
     rng = rng if rng is not None else _default_rng()
     a_star = instance.optimal_arm
     true_means = np.asarray(instance.means)
-    P = _batch_init(reps, instance.k)
+    kern = SambaLockstep(np.full((instance.k, reps), 1.0 / instance.k), alpha)
 
     for _ in range(t0):
-        samba_batch_step(P, alpha, true_means, rng.random(reps), rng.random(reps))
+        _play_round(kern, true_means, rng)
 
-    q0 = 1.0 - P[:, a_star]
+    q0 = 1.0 - kern.p[a_star]
     ok = q0 <= 0.5
     burnin_failures = int(reps - ok.sum())
     if burnin_failures > reps // 2:
         raise BurnInFailure(
             f"{burnin_failures}/{reps} replications above q=1/2 after {t0} clean rounds"
         )
-    P = P[ok]
+    kern = SambaLockstep(np.ascontiguousarray(kern.p[:, ok]), alpha)
     q0 = q0[ok]
-    n = P.shape[0]
+    n = q0.size
 
     steps = np.zeros(n, dtype=np.int64)
     for c in costs:
         shifted = true_means.copy()
         shifted[a_star] = max(0.0, shifted[a_star] - c)
-        samba_batch_step(P, alpha, shifted, rng.random(n), rng.random(n))
+        _play_round(kern, shifted, rng)
         steps += 1
-    active = (1.0 - P[:, a_star]) > q0
+    active = (1.0 - kern.p[a_star]) > q0
 
     waited = 0
     while active.any():
         if waited >= max_wait:
             raise PrepFailure(f"{int(active.sum())} replications unrecovered after {max_wait} rounds")
-        samba_batch_step(P, alpha, true_means, rng.random(n), rng.random(n))
+        _play_round(kern, true_means, rng)
         waited += 1
         steps[active] += 1
-        q = 1.0 - P[:, a_star]
+        q = 1.0 - kern.p[a_star]
         active &= q > q0
 
     mean = float(steps.mean())
@@ -564,13 +559,13 @@ def check_qhat_decay(
     k = instance.k
     gap = instance.min_gap
     true_means = np.asarray(instance.means)
-    P = _batch_init(reps, k)
+    kern = SambaLockstep(np.full((k, reps), 1.0 / k), alpha)
     counters = np.zeros(reps, dtype=np.int64)
     recorded = np.full((reps, len(grid)), np.nan)
     grid_arr = np.asarray(grid)
 
     for _ in range(horizon):
-        q = 1.0 - P[:, a_star]
+        q = 1.0 - kern.p[a_star]
         in_chain = q <= 0.5
         hits = in_chain[:, None] & (counters[:, None] == grid_arr[None, :])
         if hits.any():
@@ -579,7 +574,7 @@ def check_qhat_decay(
         counters[in_chain] += 1
         if counters.min() > s_max:
             break
-        samba_batch_step(P, alpha, true_means, rng.random(reps), rng.random(reps))
+        _play_round(kern, true_means, rng)
 
     complete = counters > s_max
     used = int(complete.sum())
@@ -681,13 +676,10 @@ def mc_regret(
     rng = rng if rng is not None else _default_rng()
     true_means = np.asarray(instance.means)
     gaps = np.asarray(instance.gaps)
-    P = _batch_init(episodes, instance.k)
+    kern = SambaLockstep(np.full((instance.k, episodes), 1.0 / instance.k), alpha)
     regret = np.zeros(episodes)
     for _ in range(horizon):
-        arms, _ = samba_batch_step(
-            P, alpha, true_means, rng.random(episodes), rng.random(episodes)
-        )
-        regret += gaps[arms]
+        regret += gaps[_play_round(kern, true_means, rng)]
     mean = float(regret.mean())
     ci = 3.0 * float(regret.std(ddof=1)) / math.sqrt(episodes)
     return mean, ci

@@ -1,16 +1,25 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from banditlab.core import InstanceTooLarge, make_instance
-from banditlab.samba import samba_from_probabilities, samba_select, samba_update
+from banditlab.samba import (
+    samba_from_probabilities,
+    samba_init,
+    samba_pick,
+    samba_select,
+    samba_update,
+)
 from banditlab.verify import (
     _MC_CHUNK,
     _mc_one_step,
     BurnInFailure,
+    DecayReport,
     DegenerateFit,
     PrepFailure,
+    RecoveryReport,
     SuiteSizes,
     analysis_constants,
     check_drift_leader,
@@ -255,31 +264,44 @@ class TestMcOneStepByOutcome:
             assert ours.random() == theirs.random()  # the same 2 * samples draws
 
 
+def scalar_history(p0, alpha, means, u_arm, u_rew):
+    """One state's arms, rewards and final simplex point under samba_pick + samba_update."""
+    state = samba_from_probabilities(p0, alpha)
+    arms, rewards = [], []
+    for ua, ur in zip(u_arm, u_rew):
+        arm = samba_pick(state, ua)
+        reward = ur < means[arm]
+        samba_update(state, arm, int(reward))
+        arms.append(arm)
+        rewards.append(reward)
+    return arms, rewards, state.p
+
+
 class TestBatchStep:
-    def test_matches_scalar_update_exactly(self):
+    @pytest.mark.parametrize(
+        "means, rows, rounds, start",
+        [
+            ((0.2, 0.8, 0.5, 0.9, 0.1), 64, 1, "dirichlet"),
+            (ladder().means, 200, 4_000, "uniform"),
+            ((0.9, 0.5), 100, 2_000, "uniform"),
+            (tuple(i / 21 for i in range(1, 21)), 100, 1_500, "uniform"),
+        ],
+        ids=["k5_one_step", "k9_ladder", "k2", "k20"],
+    )
+    def test_matches_scalar_update_exactly(self, means, rows, rounds, start):
         r = rng(11)
-        k = 5
-        means = np.array([0.2, 0.8, 0.5, 0.9, 0.1])
-        rows = 64
-        P = r.dirichlet(np.ones(k), size=rows)
-        P_batch = P.copy()
-        u_arm = r.random(rows)
-        u_rew = r.random(rows)
-        arms, rewards = samba_batch_step(P_batch, 0.07, means, u_arm, u_rew)
+        k = len(means)
+        P = r.dirichlet(np.ones(k), size=rows) if start == "dirichlet" else np.full((rows, k), 1.0 / k)
+        P0 = P.copy()
+        u = r.random((rounds, 2, rows))
+        arms, rewards = np.empty((rounds, rows), dtype=int), np.empty((rounds, rows), dtype=bool)
+        for t in range(rounds):
+            arms[t], rewards[t] = samba_batch_step(P, 0.07, np.asarray(means), u[t, 0], u[t, 1])
         for i in range(rows):
-            state = samba_from_probabilities(P[i], 0.07)
-            # scalar selection with the same uniform
-            acc, arm = 0.0, k - 1
-            for a in range(k - 1):
-                acc += state.p[a]
-                if u_arm[i] < acc:
-                    arm = a
-                    break
-            reward = 1 if u_rew[i] < means[arm] else 0
-            samba_update(state, arm, reward)
-            assert arms[i] == arm
-            assert rewards[i] == bool(reward)
-            np.testing.assert_allclose(P_batch[i], state.p, rtol=0, atol=1e-12)
+            want = scalar_history(P0[i], 0.07, means, u[:, 0, i].tolist(), u[:, 1, i].tolist())
+            assert arms[:, i].tolist() == want[0]
+            assert rewards[:, i].tolist() == want[1]
+            assert [x.hex() for x in P[i].tolist()] == [x.hex() for x in want[2]]
 
     def test_rows_stay_on_simplex(self):
         r = rng(12)
@@ -395,6 +417,136 @@ class TestExactOracle:
         exact = exact_regret_oracle(two_arm(), 0.1, 8)
         mean, ci = mc_regret(two_arm(), 0.1, 8, episodes=50_000, rng=rng(19))
         assert abs(mean - exact) <= ci
+
+
+class ScalarReplications:
+    """Per-replication samba_pick + samba_update, one SambaState each.
+
+    A round draws every replication's arm uniform, then every reward
+    uniform, from one stream: the draws the batched checks make.
+    """
+
+    def __init__(self, k, n, alpha):
+        self.states = [samba_init(k, alpha) for _ in range(n)]
+
+    def play(self, means, rng):
+        n = len(self.states)
+        u_arm, u_rew = rng.random(n).tolist(), rng.random(n).tolist()
+        arms = [samba_pick(state, u) for state, u in zip(self.states, u_arm)]
+        for state, arm, u in zip(self.states, arms, u_rew):
+            samba_update(state, arm, 1 if u < means[arm] else 0)
+        return arms
+
+    def q(self, a_star):
+        return [1.0 - state.p[a_star] for state in self.states]
+
+
+def reference_recovery(instance, alpha, costs, reps, t0, rng):
+    a_star, means = instance.optimal_arm, list(instance.means)
+    batch = ScalarReplications(instance.k, reps, alpha)
+    for _ in range(t0):
+        batch.play(means, rng)
+    kept = [(state, q) for state, q in zip(batch.states, batch.q(a_star)) if q <= 0.5]
+    batch.states, q0 = [state for state, _ in kept], [q for _, q in kept]
+    steps = [0] * len(q0)
+    for c in costs:
+        shifted = list(means)
+        shifted[a_star] = max(0.0, shifted[a_star] - c)
+        batch.play(shifted, rng)
+        steps = [s + 1 for s in steps]
+    active = [q > q_start for q, q_start in zip(batch.q(a_star), q0)]
+    while any(active):
+        batch.play(means, rng)
+        steps = [s + 1 if on else s for s, on in zip(steps, active)]
+        active = [on and q > q_start for on, q, q_start in zip(active, batch.q(a_star), q0)]
+    steps = np.array(steps, dtype=np.int64)
+    mean = float(steps.mean())
+    ci = 3.0 * float(steps.std(ddof=1)) / math.sqrt(steps.size)
+    bound = 4.0 * float(sum(costs)) / instance.min_gap
+    return RecoveryReport(mean, ci, bound, int(steps.size), reps - len(q0), mean <= bound + ci)
+
+
+def reference_decay(instance, alpha, horizon, reps, s_grid, rng):
+    a_star, means, k = instance.optimal_arm, list(instance.means), instance.k
+    batch = ScalarReplications(k, reps, alpha)
+    counters = [0] * reps
+    recorded = np.full((reps, len(s_grid)), np.nan)
+    for _ in range(horizon):
+        for i, q in enumerate(batch.q(a_star)):
+            if q <= 0.5:
+                if counters[i] in s_grid:
+                    recorded[i, s_grid.index(counters[i])] = q
+                counters[i] += 1
+        if min(counters) > max(s_grid):
+            break
+        batch.play(means, rng)
+    vals = recorded[[c > max(s_grid) for c in counters]]
+    used = len(vals)
+    cis = 3.0 * vals.std(axis=0, ddof=1) / math.sqrt(used)
+    bounds = 2.0 * k / (4.0 * k + alpha * instance.min_gap * np.asarray(s_grid))
+    return DecayReport(
+        s_grid=s_grid,
+        means=tuple(float(v) for v in vals.mean(axis=0)),
+        bounds=tuple(float(b) for b in bounds),
+        ci_half_widths=tuple(float(c) for c in cis),
+        rows_used=used,
+        passed=bool(np.all(vals.mean(axis=0) <= bounds + cis)),
+    )
+
+
+def reference_mc_regret(instance, alpha, horizon, episodes, rng):
+    batch = ScalarReplications(instance.k, episodes, alpha)
+    regret = [0.0] * episodes
+    for _ in range(horizon):
+        arms = batch.play(instance.means, rng)
+        regret = [r + instance.gaps[a] for r, a in zip(regret, arms)]
+    regret = np.array(regret)
+    return float(regret.mean()), 3.0 * float(regret.std(ddof=1)) / math.sqrt(episodes)
+
+
+def hexed(value):
+    """A report's fields with every float spelled by float.hex, for bitwise comparison."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (tuple, list)):
+        return [hexed(v) for v in value]
+    if dataclasses.is_dataclass(value):
+        return {f.name: hexed(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    return value
+
+
+class TestBatchedChecksMatchScalarLoop:
+    """The recovery, decay and oracle MC checks equal per-replication samba_update."""
+
+    @pytest.mark.parametrize(
+        "instance, reps, t0, seed, drops",
+        [
+            (make_instance(tuple(0.05 * i for i in range(1, 12)) + (0.9,)), 60, 1_500, 23, False),
+            (ladder(), 80, 1_300, 22, True),
+        ],
+        ids=["k12", "k9_burnin_drops"],
+    )
+    def test_recovery(self, instance, reps, t0, seed, drops):
+        costs = [0.45, 0.45]
+        got = check_recovery_time(instance, 0.05, costs, reps=reps, t0=t0, rng=rng(seed))
+        want = reference_recovery(instance, 0.05, costs, reps, t0, rng(seed))
+        assert hexed(got) == hexed(want)
+        assert (got.burnin_failures > 0) == drops
+
+    @pytest.mark.parametrize(
+        "instance, horizon, reps, s_grid",
+        [(make_instance((0.1, 0.3, 0.5, 0.7, 0.9)), 4_000, 30, (10, 100, 300)), (two_arm(), 3_000, 30, (50, 500))],
+        ids=["k5", "k2"],
+    )
+    def test_decay(self, instance, horizon, reps, s_grid):
+        got = check_qhat_decay(instance, 0.05, horizon=horizon, reps=reps, s_grid=s_grid, rng=rng(21))
+        want = reference_decay(instance, 0.05, horizon, reps, s_grid, rng(21))
+        assert hexed(got) == hexed(want)
+
+    def test_mc_regret(self):
+        got = mc_regret(ladder(), 0.05, 300, 200, rng(24))
+        want = reference_mc_regret(ladder(), 0.05, 300, 200, rng(24))
+        assert hexed(got) == hexed(want)
 
 
 class TestLogFit:
