@@ -20,7 +20,8 @@ same bytes for the same seed.
 in both trees with each of ``--digest-threads`` and records the SHA-256 of
 ``results.csv`` and ``curves.csv`` and the wall time. ``--tier1`` runs the
 tier-1 suite once per tree (parent first) with per-test durations, and
-records passed/failed counts, failing tests and the slowest calls.
+records passed/failed counts, failing tests, the slowest calls and the line
+each acceptance criterion prints.
 ``--probe WORKLOAD:SEED`` (one seed) runs ``PROBE_REPEATS`` alternated
 rounds of fresh interpreters per tree: the workload's ``banditlab.cli.main`` call on
 its config at ``--threads`` 1 and 2, timed inside the interpreter, and the
@@ -160,12 +161,15 @@ def digest_run(tree: str, config: str, threads: int) -> dict:
 
 def tier1_run(tree: str) -> dict:
     cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
-           "--durations=0", "-p", "no:cacheprovider"]
+           "--durations=0", "-rA", "-p", "no:cacheprovider"]
     start = time.perf_counter()
     done = subprocess.run(cmd, cwd=tree, env=_env(tree), capture_output=True, text=True)
     wall = time.perf_counter() - start
     text = done.stdout
-    counts = {name: int(n) for n, name in re.findall(r"(\d+) (passed|failed|error)", text)}
+    # -rA adds every test's captured output, so the counts come from the last line only.
+    last = text.strip().splitlines()[-1] if text.strip() else ""
+    counts = {name: int(n) for n, name in re.findall(r"(\d+) (passed|failed|error)", last)}
+    criteria = re.findall(r"^criterion \d+ \S+: (?:PASS|FAIL) — .*$", text, re.MULTILINE)
     calls = {}
     for secs, test in re.findall(r"^([\d.]+)s call\s+(\S+)$", text, re.MULTILINE):
         if float(secs) >= 1.0:
@@ -176,6 +180,7 @@ def tier1_run(tree: str) -> dict:
         **counts,
         "failing": re.findall(r"^FAILED (\S+)", text, re.MULTILINE),
         "test_call_s_at_least_1s": calls,
+        "criterion_lines": sorted(set(criteria)),
     }
 
 
