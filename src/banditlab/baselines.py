@@ -1,7 +1,7 @@
 """Baseline bandit policies sharing one engine-facing handle contract.
 
-Every policy exposes ``name``, ``select(rng) -> arm``, ``update(arm, reward)``
-and ``get_params() -> dict``. The engine plays a policy round by round:
+Every policy exposes ``name``, ``select(rng) -> arm`` and
+``update(arm, reward)``. The engine plays a policy round by round:
 ``select`` then ``update`` with the arm fed back verbatim. Optional methods
 let the engine do the same work faster, with identical results:
 
@@ -154,13 +154,6 @@ class FastSlowEliminationPolicy:
         self._fast_max = max(fast_lo[a] for a in self.fast_active)
         self._fast_min_hi = min(fast_hi[a] for a in self.fast_active)
 
-    def get_params(self) -> dict:
-        return {
-            "c_known": self.c_known,
-            "delta": self.delta,
-            "slow_share": self.slow_share,
-        }
-
 
 # ---------------------------------------------------------------------------
 # Phased gap-estimate algorithms
@@ -177,10 +170,10 @@ class BarbarPolicy:
     empirical means alone, which limits how long any single stretch of
     tampered rewards can distort the schedule.
 
-    ``delta`` is accepted for interface parity and, as for ``fs_aae``, must
-    lie in (0, 1); the theoretical constant lambda ~ log(K/delta) is folded
-    into ``lambda_scale``, whose small default keeps eight-plus phases inside
-    a 1e5-round horizon.
+    The theoretical constant lambda, logarithmic in K over the confidence
+    level, is folded into ``lambda_scale``, whose small default keeps
+    eight-plus phases inside a 1e5-round horizon; there is no separate
+    confidence parameter.
 
     No pull inside a phase depends on that phase's rewards, so besides
     ``select``/``update`` the policy offers ``commit(rng)``, the arms its
@@ -193,16 +186,13 @@ class BarbarPolicy:
 
     name = "barbar"
 
-    def __init__(self, k: int, lambda_scale: float = 4.0, delta: float = 0.05):
+    def __init__(self, k: int, lambda_scale: float = 4.0):
         if k < 2:
             raise KTooSmall(f"need at least 2 arms, got {k}")
         if lambda_scale <= 0:
             raise ValueError(f"lambda_scale must be > 0, got {lambda_scale}")
-        if not 0.0 < delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {delta}")
         self.k = k
         self.lambda_scale = float(lambda_scale)
-        self.delta = float(delta)
         self.phase_index = 0
         self.gap_estimates = [1.0] * k
         self._targets = [0] * k
@@ -280,9 +270,6 @@ class BarbarPolicy:
         self._phase_counts = [c + n for c, n in zip(self._phase_counts, counts)]
         self._phase_sums = [s + r for s, r in zip(self._phase_sums, sums)]
         self._pos += len(arms)
-
-    def get_params(self) -> dict:
-        return {"lambda_scale": self.lambda_scale, "delta": self.delta}
 
 
 class CBarbarPolicy(BarbarPolicy):
@@ -546,9 +533,6 @@ class TsallisInfPolicy:
         s = self._z[arm] + self._y
         self.losses[arm] += 1.0 / (self._coeff / (s * s))
         self._moved = arm if self._moved is None or self._moved == arm else -1
-
-    def get_params(self) -> dict:
-        return {"eta_scale": self.eta_scale}
 
 
 # ---------------------------------------------------------------------------

@@ -94,18 +94,12 @@ def _master_seed(cfg: dict, args, default: int) -> int:
 
 def _threads(requested: int | None) -> int:
     """Worker count: ``--threads``, else ``BANDITLAB_THREADS``, else all cores."""
-    source, raw = "--threads", requested
-    if raw is None:
-        source, raw = "BANDITLAB_THREADS", os.environ.get("BANDITLAB_THREADS")
-    if raw is None or raw == "":
-        return resolve_threads(None)
+    if requested is not None and requested < 1:
+        raise ConfigError(f"--threads must be a positive integer, got {requested!r}")
     try:
-        count = int(raw)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise ConfigError(f"{source} must be a positive integer, got {raw!r}")
-    return count
+        return resolve_threads(requested)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _as_list(value) -> list:

@@ -36,14 +36,6 @@ class TiedOptimum(BanditLabError, ValueError):
     """Two arms share the maximal mean and degenerate instances were not allowed."""
 
 
-class ArmIndexOutOfRange(BanditLabError, IndexError):
-    """An arm index does not exist in the instance."""
-
-
-class InvalidReward(BanditLabError, ValueError):
-    """Reward outside {0, 1}."""
-
-
 @dataclass(frozen=True)
 class BanditInstance:
     """A fixed K-armed Bernoulli instance.
@@ -110,11 +102,6 @@ def make_instance(means: Sequence[float], *, allow_degenerate: bool = False) -> 
     return BanditInstance(means=vals, optimal_arm=optimal_arm, gaps=gaps, min_gap=min_gap)
 
 
-def draw_reward(mean: float, rng: np.random.Generator) -> int:
-    """One Bernoulli(mean) sample in {0, 1}. mean=0 and mean=1 are exact."""
-    return 1 if rng.random() < mean else 0
-
-
 @dataclass
 class Trace:
     """What an episode reports: regret checkpoints and the adversary's spend.
@@ -133,20 +120,6 @@ class Trace:
 
     def spent(self) -> float:
         return self.realized_spend
-
-
-def pseudo_regret(arms: Sequence[int] | np.ndarray, instance: BanditInstance) -> float:
-    """Cumulative pseudo-regret sum_t gap(arm_t) against the true means.
-
-    Additive over concatenated segments and blind to rewards/costs by
-    construction.
-    """
-    idx = np.asarray(arms, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= instance.k):
-        bad = int(idx[(idx < 0) | (idx >= instance.k)][0])
-        raise ArmIndexOutOfRange(f"arm {bad} not in instance with {instance.k} arms")
-    gaps = np.asarray(instance.gaps)
-    return float(gaps[idx].sum())
 
 
 def ordered_column_sums(a: np.ndarray) -> np.ndarray:

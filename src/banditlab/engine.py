@@ -476,12 +476,23 @@ def episode_seeds(config: ExperimentConfig, cell_idx: int) -> list[int]:
 
 
 def resolve_threads(threads: int | None = None) -> int:
+    """Worker count: ``threads`` (at least 1), else ``BANDITLAB_THREADS``, else all cores.
+
+    Raises ValueError, naming the variable, unless a set ``BANDITLAB_THREADS``
+    is a positive integer.
+    """
     if threads is not None:
         return max(1, int(threads))
     env = os.environ.get("BANDITLAB_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        count = int(env)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ValueError(f"BANDITLAB_THREADS must be a positive integer, got {env!r}")
+    return count
 
 
 def run_batch(config: ExperimentConfig, *, threads: int | None = None) -> AggregateStats:

@@ -262,6 +262,3 @@ class SambaPolicy:
 
     def update(self, arm: int, reward: int) -> None:
         samba_update(self.state, arm, reward)
-
-    def get_params(self) -> dict:
-        return {"alpha": self.alpha}

@@ -598,11 +598,6 @@ def check_qhat_decay(
     )
 
 
-def quadratic_decay_envelope(a0: float, gamma: float, t: int) -> float:
-    """Envelope a0 / (1 + gamma*t*a0) for a_{t+1} = a_t - gamma*a_t^2."""
-    return a0 / (1.0 + gamma * t * a0)
-
-
 # ---------------------------------------------------------------------------
 # Exact expected pseudo-regret by outcome-tree enumeration
 # ---------------------------------------------------------------------------

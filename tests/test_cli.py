@@ -119,6 +119,13 @@ class TestRun:
             pytest.param(lambda c: c.update(algorithms=[{"algorithm": "barbar",
                                                          "params": {"delta": 5}}]),
                          id="params_barbar_delta_out_of_range"),
+            # barbar/cbarbar take no delta: an in-range one would go unread
+            pytest.param(lambda c: c.update(algorithms=[{"algorithm": "barbar",
+                                                         "params": {"delta": 0.05}}]),
+                         id="params_barbar_delta"),
+            pytest.param(lambda c: c.update(algorithms=[{"algorithm": "cbarbar",
+                                                         "params": {"delta": 0.05}}]),
+                         id="params_cbarbar_delta"),
             # swap_extremes can shift at most max(0.9, 1 - 0.2) = 0.9 per round:
             # a larger per-step cost would spend 3.6 of a budget of 6
             pytest.param(lambda c: c.update(instance={"means": [0.2, 0.9]},

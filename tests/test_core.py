@@ -3,16 +3,13 @@ import pytest
 
 from banditlab.core import (
     MAX_ARMS,
-    ArmIndexOutOfRange,
     InstanceTooLarge,
     KTooSmall,
     MeanOutOfRange,
     TiedOptimum,
     Trace,
     checkpoint_grid,
-    draw_reward,
     make_instance,
-    pseudo_regret,
 )
 
 
@@ -69,53 +66,6 @@ class TestMakeInstance:
         assert inst.gaps == (0.0, 0.0)
 
 
-class TestDrawReward:
-    def test_extremes_are_exact(self):
-        rng = np.random.Generator(np.random.Philox(key=1))
-        assert all(draw_reward(1.0, rng) == 1 for _ in range(100))
-        assert all(draw_reward(0.0, rng) == 0 for _ in range(100))
-
-    def test_mean_converges(self):
-        rng = np.random.Generator(np.random.Philox(key=2))
-        n = 200_000
-        hits = sum(draw_reward(0.3, rng) for _ in range(n))
-        # 3-sigma band around 0.3 for n Bernoulli draws
-        assert abs(hits / n - 0.3) < 3 * (0.3 * 0.7 / n) ** 0.5
-
-
-class TestPseudoRegret:
-    def test_matches_gap_sum(self):
-        inst = make_instance(ladder_means())
-        arms = [0, 8, 8, 4]
-        assert pseudo_regret(arms, inst) == pytest.approx(0.8 + 0.0 + 0.0 + 0.4)
-
-    def test_optimal_only_is_zero(self):
-        inst = make_instance(ladder_means())
-        assert pseudo_regret([8] * 1000, inst) == 0.0
-
-    def test_additive_over_segments(self):
-        inst = make_instance(ladder_means())
-        rng = np.random.Generator(np.random.Philox(key=3))
-        arms = rng.integers(0, 9, size=500)
-        whole = pseudo_regret(arms, inst)
-        parts = pseudo_regret(arms[:200], inst) + pseudo_regret(arms[200:], inst)
-        assert whole == pytest.approx(parts)
-
-    def test_ignores_rewards_entirely(self):
-        # regret is a function of the arm sequence alone
-        inst = make_instance((0.9, 0.5))
-        assert pseudo_regret([1, 1], inst) == pytest.approx(0.8)
-
-    def test_bad_arm_index_raises(self):
-        inst = make_instance((0.9, 0.5))
-        with pytest.raises(ArmIndexOutOfRange):
-            pseudo_regret([0, 2], inst)
-
-    def test_empty_sequence_is_zero(self):
-        inst = make_instance((0.9, 0.5))
-        assert pseudo_regret([], inst) == 0.0
-
-
 class TestTrace:
     def _trace(self, **over):
         return Trace(instance=make_instance((0.9, 0.5)), algorithm="samba", seed=1, **over)
@@ -149,3 +99,13 @@ class TestCheckpointGrid:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             checkpoint_grid(0)
+
+
+class TestExports:
+    def test_all_names_resolve_once(self):
+        import banditlab
+
+        names = banditlab.__all__
+        assert len(names) == len(set(names))
+        missing = [name for name in names if not hasattr(banditlab, name)]
+        assert missing == []

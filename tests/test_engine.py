@@ -454,6 +454,17 @@ class TestResolveThreads:
     def test_floor_of_one(self):
         assert resolve_threads(0) == 1
 
+    @pytest.mark.parametrize("value", ["0", "-2", "abc", "1.5"])
+    def test_bad_env_raises(self, monkeypatch, value):
+        monkeypatch.setenv("BANDITLAB_THREADS", value)
+        with pytest.raises(ValueError, match="BANDITLAB_THREADS"):
+            resolve_threads(None)
+
+    def test_bad_env_reaches_run_batch(self, monkeypatch):
+        monkeypatch.setenv("BANDITLAB_THREADS", "abc")
+        with pytest.raises(ValueError, match="BANDITLAB_THREADS must be a positive integer"):
+            run_batch(small_config())
+
     def test_default_positive(self, monkeypatch):
         monkeypatch.delenv("BANDITLAB_THREADS", raising=False)
         assert resolve_threads(None) >= 1

@@ -180,7 +180,7 @@ class TestPolicyWrapper:
     def test_name_and_params(self):
         pol = SambaPolicy(9, alpha=0.05)
         assert pol.name == "samba"
-        assert pol.get_params() == {"alpha": 0.05}
+        assert pol.alpha == 0.05
 
     def test_select_update_cycle(self):
         pol = SambaPolicy(3, alpha=0.1)

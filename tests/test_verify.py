@@ -34,7 +34,6 @@ from banditlab.verify import (
     mc_regret,
     prep_leader,
     prep_nonleader,
-    quadratic_decay_envelope,
     run_verification_suite,
     samba_batch_step,
     tampered_update,
@@ -358,18 +357,6 @@ class TestDecay:
             check_qhat_decay(
                 two_arm(), 0.05, horizon=50, reps=20, s_grid=(10_000,), rng=rng(18)
             )
-
-    def test_envelope_dominates_recurrence(self):
-        # a_{t+1} = a_t - gamma * a_t^2 stays below a_0/(1 + gamma t a_0)
-        a, gamma = 0.5, 0.2
-        seq = a
-        for t in range(1, 200):
-            seq = seq - gamma * seq * seq
-            assert seq <= quadratic_decay_envelope(a, gamma, t) + 1e-12
-
-    def test_envelope_values(self):
-        assert quadratic_decay_envelope(0.5, 0.1, 0) == 0.5
-        assert quadratic_decay_envelope(0.5, 0.1, 10) == pytest.approx(1 / 3)
 
 
 class TestExactOracle:

@@ -13,7 +13,8 @@ both trees, one after the other, alternating which tree goes first. Each
 end-to-end metric is summarised by the parent's and the change's quartiles,
 the ratio of medians, how many pairs the change won (in the direction
 ``BENCHMARK.json`` gives) and the gap between medians next to the parent's
-interquartile range. The runs' CSV digests show whether both trees wrote the
+interquartile range, with the verdicts that ``BENCHMARK.json``'s bounds give
+(see ``summarise``). The runs' CSV digests show whether both trees wrote the
 same bytes for the same seed.
 
 ``--digest CONFIG`` (repeatable) runs ``banditlab sweep --config CONFIG``
@@ -101,6 +102,8 @@ def _describe(tree: str) -> str:
 
 
 def _quartiles(values: list[float]) -> dict:
+    if len(values) == 1:  # statistics.quantiles needs two points
+        values = values * 2
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"q1": q1, "median": median, "q3": q3}
 
@@ -120,20 +123,36 @@ def bench_run(tree: str, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
-def summarise(runs: dict, better: dict) -> dict:
+def summarise(runs: dict, metrics: dict) -> dict:
+    """Per end-to-end metric: quartiles, pair wins and the three verdicts.
+
+    ``metrics`` maps each name to its ``BENCHMARK.json`` entry, whose
+    ``better`` gives the direction and ``bound`` the allowed relative change.
+    ``worse_beyond_bound``: the change's median is worse than the parent's by
+    more than the bound. ``unresolved``: the parent's IQR is wider than the
+    bound (relative to its median). ``gain_rule_met``: the change won at least
+    nine in ten pairs and its median is better by more than the parent's IQR.
+    """
     summary = {}
-    for name, direction in better.items():
+    for name, spec in metrics.items():
         values = {side: [r["metrics"][name] for r in runs[side]] for side in SIDES}
         parent, change = (_quartiles(values[side]) for side in SIDES)
-        sign = 1.0 if direction == "higher" else -1.0
+        sign = 1.0 if spec["better"] == "higher" else -1.0
         wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
+        pairs = len(values["parent"])
+        parent_iqr = parent["q3"] - parent["q1"]
+        improvement = sign * (change["median"] - parent["median"])
         summary[name] = {
             "parent": parent,
             "change": change,
             "change_over_parent_median": change["median"] / parent["median"],
-            "pairs_change_better": f"{wins}/{len(values['parent'])}",
-            "parent_iqr": parent["q3"] - parent["q1"],
+            "pairs_change_better": f"{wins}/{pairs}",
+            "parent_iqr": parent_iqr,
             "median_gap": abs(change["median"] - parent["median"]),
+            "bound": spec["bound"],
+            "worse_beyond_bound": -improvement > spec["bound"] * abs(parent["median"]),
+            "unresolved": parent_iqr > spec["bound"] * abs(parent["median"]),
+            "gain_rule_met": 10 * wins >= 9 * pairs and improvement > parent_iqr,
         }
     summary["same_csv_bytes_per_seed"] = sum(
         p["sha256"] == c["sha256"] for p, c in zip(runs["parent"], runs["change"])
@@ -218,7 +237,7 @@ def main(argv=None) -> int:
     probes = [_probe_seed(spec) for spec in args.probe]
     trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     with open(os.path.join(trees["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        metrics = {m["name"]: m for m in json.load(fh)["end_to_end"]}
 
     import numpy
 
@@ -242,7 +261,7 @@ def main(argv=None) -> int:
                 runs[side].append(bench_run(trees[side], workload, seed, args.seconds))
                 print(f"{workload} seed {seed} {side}: "
                       f"{runs[side][-1]['metrics']}", file=sys.stderr, flush=True)
-        record["workloads"][workload] = {"summary": summarise(runs, better), "runs": runs}
+        record["workloads"][workload] = {"summary": summarise(runs, metrics), "runs": runs}
 
     threads = [int(t) for t in args.digest_threads.split(",")]
     for config in args.digest:
