@@ -46,6 +46,14 @@ CURVES_COLUMNS = "algorithm,scheme,corruption_level,t,mean_regret,sd_regret"
 BENCH_COLUMNS = "algorithm,mean_s,sd_s,step_ratio"
 # "custom" needs explicit rounds, which only the library API can pass.
 CONFIG_SCHEMES = tuple(s for s in SCHEMES if s != "custom")
+# Every key the schema defines, one set for all commands; any other key is an error.
+CONFIG_KEYS = {
+    "schema_version", "horizon", "replications", "master_seed", "checkpoints_per_decade",
+    "instance", "algorithms", "corruption", "alpha",
+}
+INSTANCE_KEYS = {"means", "k"}
+CORRUPTION_KEYS = {"scheme", "schemes", "budget", "budgets", "strategy", "per_step_cost"}
+ALGORITHM_KEYS = {"algorithm", "params", "label"}
 
 
 class ConfigError(Exception):
@@ -69,7 +77,14 @@ def _load_json(path: str) -> dict:
     version = data.get("schema_version")
     if version != 1:
         raise ConfigError(f"unsupported schema_version {version!r}, expected 1")
+    _check_keys(data, CONFIG_KEYS, "the config")
     return data
+
+
+def _check_keys(raw: dict, allowed: set[str], where: str) -> None:
+    unknown = sorted(set(raw) - allowed)
+    if unknown:
+        raise ConfigError(f"unknown key(s) {', '.join(map(repr, unknown))} in {where}")
 
 
 def _is_int(value) -> bool:
@@ -110,10 +125,13 @@ def _parse_instances(cfg: dict, *, allow_grid: bool) -> tuple[InstanceSpec, ...]
     raw = cfg.get("instance")
     if not isinstance(raw, dict):
         raise ConfigError("config needs an 'instance' object")
+    _check_keys(raw, INSTANCE_KEYS, "'instance'")
     if "means" in raw and raw["means"] != "uniform":
         means = raw["means"]
-        if not isinstance(means, list) or len(means) < 2:
-            raise ConfigError("'instance.means' must be a list of at least two numbers")
+        if not isinstance(means, list) or len(means) < 2 or not all(map(_is_finite, means)):
+            raise ConfigError("'instance.means' must be a list of at least two finite numbers")
+        if "k" in raw:
+            raise ConfigError("'instance.k' goes only with means='uniform'")
         try:
             make_instance(means)
         except BanditLabError as exc:
@@ -140,6 +158,10 @@ def _parse_plans(cfg: dict, instances: tuple[InstanceSpec, ...]) -> tuple[PlanSp
         return (PlanSpec(),)
     if not isinstance(raw, dict):
         raise ConfigError("'corruption' must be an object")
+    _check_keys(raw, CORRUPTION_KEYS, "'corruption'")
+    for one, many in (("scheme", "schemes"), ("budget", "budgets")):
+        if one in raw and many in raw:
+            raise ConfigError(f"'corruption' gives both {one!r} and {many!r}")
     strategy = raw.get("strategy", "suppress_optimal")
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
@@ -184,6 +206,7 @@ def _parse_algorithms(cfg: dict) -> tuple[AlgorithmSpec, ...]:
     for entry in raw:
         if not isinstance(entry, dict) or "algorithm" not in entry:
             raise ConfigError("each algorithms entry needs an 'algorithm' key")
+        _check_keys(entry, ALGORITHM_KEYS, "an algorithms entry")
         name = entry["algorithm"]
         if name not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {name!r}, expected one of {ALGORITHMS}")
@@ -194,7 +217,11 @@ def _parse_algorithms(cfg: dict) -> tuple[AlgorithmSpec, ...]:
             make_policy(name, 2, params)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad params for {name!r}: {exc}")
-        specs.append(AlgorithmSpec.of(name, params, entry.get("label")))
+        label = entry.get("label")
+        # The label is a CSV field, written unquoted.
+        if label is not None and (not isinstance(label, str) or any(c in label for c in ",\r\n")):
+            raise ConfigError(f"'label' must be a string without ',' or line breaks, got {label!r}")
+        specs.append(AlgorithmSpec.of(name, params, label))
     return tuple(specs)
 
 
@@ -341,15 +368,11 @@ def _cmd_bench(args) -> int:
 
 def _cmd_verify(args) -> int:
     cfg = _load_json(args.config) if args.config else {"schema_version": 1}
-    raw_instance = cfg.get("instance")
-    if raw_instance is not None:
-        means = raw_instance.get("means")
-        if not isinstance(means, list):
+    if cfg.get("instance") is not None:
+        spec = _parse_instances(cfg, allow_grid=False)[0]
+        if spec.means is None:
             raise ConfigError("verify instance must give explicit means")
-        try:
-            instance = make_instance(means)
-        except BanditLabError as exc:
-            raise ConfigError(f"bad instance means: {exc}")
+        instance = make_instance(spec.means)
     else:
         instance = make_instance(tuple(i / 10 for i in range(1, 10)))
     alpha = cfg.get("alpha", 0.05)

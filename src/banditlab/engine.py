@@ -574,11 +574,10 @@ def bench_runtime(
     instance_spec: InstanceSpec,
     horizon: int,
     *,
-    plan_spec: PlanSpec = PlanSpec(),
     reps: int = 5,
     master_seed: int = 0,
 ) -> list[BenchRow]:
-    """Wall-clock seconds per episode (warm-up excluded) plus early/late step ratio.
+    """Wall-clock seconds per clean episode (warm-up excluded) plus early/late step ratio.
 
     The step ratio is the per-round time of the late window (the last 10000
     rounds, or a tenth of a shorter horizon) over that of the early window
@@ -594,7 +593,7 @@ def bench_runtime(
         for i in range(reps + 1):
             seed = split_seed(master_seed, a_idx * (reps + 2) + i)
             instance = instance_spec.resolve(seed)
-            plan = plan_spec.bind(horizon)
+            plan = PlanSpec().bind(horizon)
             policy = make_policy(
                 algo.algorithm,
                 instance.k,
@@ -604,15 +603,7 @@ def bench_runtime(
             )
             stamps = dict.fromkeys((0, early_n, late_start, horizon), 0.0)
             t0 = time.perf_counter()
-            run_episode(
-                policy,
-                instance,
-                plan,
-                horizon,
-                seed,
-                per_step_cost=plan_spec.per_step_cost,
-                stamps=stamps,
-            )
+            run_episode(policy, instance, plan, horizon, seed, stamps=stamps)
             dt = time.perf_counter() - t0
             if i > 0:  # first episode is warm-up
                 times.append(dt)

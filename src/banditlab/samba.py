@@ -10,6 +10,9 @@ never reference the horizon.
 
 from __future__ import annotations
 
+import functools
+import math
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -53,23 +56,14 @@ class SambaState:
     def copy(self) -> "SambaState":
         return SambaState(list(self.p), self.alpha, self.leader, self.clamp_events)
 
-    def probabilities(self) -> np.ndarray:
-        return np.asarray(self.p, dtype=float)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         probs = ", ".join(f"{v:.6f}" for v in self.p)
         return f"SambaState(p=[{probs}], alpha={self.alpha}, leader={self.leader})"
 
 
 def samba_leader(p: Sequence[float]) -> int:
-    """Argmax of p, lowest index on ties."""
-    best = p[0]
-    lead = 0
-    for a in range(1, len(p)):
-        if p[a] > best:
-            best = p[a]
-            lead = a
-    return lead
+    """Argmax of p, lowest index on ties (``max`` keeps the first maximum)."""
+    return p.index(max(p))
 
 
 def samba_init(k: int, alpha: float) -> SambaState:
@@ -96,9 +90,8 @@ def samba_from_probabilities(p: Sequence[float], alpha: float) -> SambaState:
     if not (0.0 < alpha < 1.0):
         raise AlphaOutOfRange(f"step size must lie in (0, 1), got {alpha!r}")
     vals = [float(v) for v in p]
-    total = sum(vals)
-    if abs(total - 1.0) > 1e-9 or min(vals) <= 0.0:
-        raise ValueError("probabilities must be positive and sum to 1")
+    if not all(map(math.isfinite, vals)) or abs(sum(vals) - 1.0) > 1e-9 or min(vals) <= 0.0:
+        raise ValueError("probabilities must be finite, positive and sum to 1")
     return SambaState(p=vals, alpha=float(alpha), leader=samba_leader(vals))
 
 
@@ -140,23 +133,15 @@ def samba_update(state: SambaState, pulled: int, reward: int) -> SambaState:
     lead = state.leader
     if pulled == lead:
         p_lead = p[lead]
-        for a in range(k):
-            if a != lead:
-                p[a] -= alpha * p[a] * p[a] / p_lead
+        p[:] = [x - alpha * x * x / p_lead for x in p]
     else:
         p[pulled] *= 1.0 + alpha
-
-    rest = 0.0
-    for a in range(k):
-        if a != lead:
-            rest += p[a]
-    p[lead] = 1.0 - rest
+    _absorb(p, lead)
 
     # Exact arithmetic keeps every coordinate positive for alpha < 1; the
     # floor below only guards floating-point underflow and is counted so
     # standard runs can assert it never fired.
-    low = min(p)
-    if low < CLAMP_FLOOR:
+    if min(p) < CLAMP_FLOOR:
         state.clamp_events += 1
         _clamp(p)
 
@@ -164,18 +149,20 @@ def samba_update(state: SambaState, pulled: int, reward: int) -> SambaState:
     return state
 
 
+def _absorb(p: list[float], lead: int) -> None:
+    """Set the leader's coordinate to one minus the others, summed in index order.
+
+    The leader's own term is zeroed first; adding 0.0 is exact. ``reduce``
+    rather than ``sum``: from Python 3.12 ``sum`` of floats is compensated.
+    """
+    p[lead] = 0.0
+    p[lead] = 1.0 - functools.reduce(operator.add, p)
+
+
 def _clamp(p: list[float]) -> None:
     """Raise coordinates below ``CLAMP_FLOOR`` to it; the leader absorbs the difference."""
-    k = len(p)
-    for a in range(k):
-        if p[a] < CLAMP_FLOOR:
-            p[a] = CLAMP_FLOOR
-    lead_now = samba_leader(p)
-    rest = 0.0
-    for a in range(k):
-        if a != lead_now:
-            rest += p[a]
-    p[lead_now] = 1.0 - rest
+    p[:] = [max(x, CLAMP_FLOOR) for x in p]
+    _absorb(p, samba_leader(p))
 
 
 class SambaLockstep:

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import BanditInstance, BanditLabError, InstanceTooLarge
+from .core import BanditInstance, BanditLabError, InstanceTooLarge, make_instance
 from .samba import SambaLockstep, SambaState, samba_init, samba_select, samba_update
 
 
@@ -105,13 +105,33 @@ def analysis_constants(instance: BanditInstance, alpha: float) -> AnalysisConsta
 # ---------------------------------------------------------------------------
 
 
+MIN_LEAD_RATIO = 10.0  # prep_nonleader's least leader mass over the best arm's
+
+
+def _prepare(
+    instance: BanditInstance,
+    alpha: float,
+    rng: np.random.Generator,
+    means: Sequence[float],
+    ready: Callable[[SambaState], bool],
+    max_rounds: int,
+) -> SambaState | None:
+    """Play from the uniform state on ``means`` until ``ready``; None if it never is."""
+    state = samba_init(instance.k, alpha)
+    for _ in range(max_rounds):
+        if ready(state):
+            return state
+        arm = samba_select(state, rng)
+        samba_update(state, arm, 1 if rng.random() < means[arm] else 0)
+    return None
+
+
 def prep_nonleader(
     instance: BanditInstance,
     alpha: float,
     rng: np.random.Generator,
     *,
     target_p_opt: float = 0.08,
-    min_lead_ratio: float = 10.0,
     max_rounds: int = 500_000,
 ) -> SambaState:
     """A state where the best arm is suppressed below the leader.
@@ -119,7 +139,7 @@ def prep_nonleader(
     Runs the algorithm while the best arm's rewards are zeroed out (the
     regime the non-leader drift bound is about), until its probability has
     decayed to ``target_p_opt`` and the leader holds at least
-    ``min_lead_ratio`` times that mass. The negative-drift inequality needs
+    ``MIN_LEAD_RATIO`` times that mass. The negative-drift inequality needs
     the leader's mass to clearly dominate the suppressed arm's — as the
     ratio approaches alpha*(1+epsilon)/epsilon from above, the true margin
     over the bound shrinks below what a Monte-Carlo run of any reasonable
@@ -128,22 +148,18 @@ def prep_nonleader(
     a_star = instance.optimal_arm
     means = list(instance.means)
     means[a_star] = 0.0
-    state = samba_init(instance.k, alpha)
-    for _ in range(max_rounds):
-        p_star = state.p[a_star]
-        if (
-            p_star <= target_p_opt
-            and state.leader != a_star
-            and state.p[state.leader] >= min_lead_ratio * p_star
-        ):
-            return state
-        arm = samba_select(state, rng)
-        reward = 1 if rng.random() < means[arm] else 0
-        samba_update(state, arm, reward)
-    raise PrepFailure(
-        f"no state with p_opt<={target_p_opt} and lead ratio>={min_lead_ratio} "
-        f"within {max_rounds} suppressed rounds"
-    )
+
+    def ready(s: SambaState) -> bool:
+        lead, p_star = s.leader, s.p[a_star]
+        return p_star <= target_p_opt and lead != a_star and s.p[lead] >= MIN_LEAD_RATIO * p_star
+
+    state = _prepare(instance, alpha, rng, means, ready, max_rounds)
+    if state is None:
+        raise PrepFailure(
+            f"no state with p_opt<={target_p_opt} and lead ratio>={MIN_LEAD_RATIO} "
+            f"within {max_rounds} suppressed rounds"
+        )
+    return state
 
 
 def prep_leader(
@@ -156,17 +172,12 @@ def prep_leader(
 ) -> SambaState:
     """A state where the best arm leads with probability >= target."""
     a_star = instance.optimal_arm
-    means = instance.means
-    state = samba_init(instance.k, alpha)
-    for _ in range(max_rounds):
-        if state.p[a_star] >= target_p_opt:
-            return state
-        arm = samba_select(state, rng)
-        reward = 1 if rng.random() < means[arm] else 0
-        samba_update(state, arm, reward)
-    raise PrepFailure(
-        f"best arm did not reach p={target_p_opt} within {max_rounds} clean rounds"
+    state = _prepare(
+        instance, alpha, rng, instance.means, lambda s: s.p[a_star] >= target_p_opt, max_rounds
     )
+    if state is None:
+        raise PrepFailure(f"best arm did not reach p={target_p_opt} within {max_rounds} clean rounds")
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +448,9 @@ def _play_round(kern: SambaLockstep, means: np.ndarray, rng: np.random.Generator
 # ---------------------------------------------------------------------------
 
 
+MAX_RECOVERY_WAIT = 200_000  # rounds after the injections before unrecovered reps fail
+
+
 @dataclass(frozen=True)
 class RecoveryReport:
     mean_steps: float
@@ -455,7 +469,6 @@ def check_recovery_time(
     reps: int = 10_000,
     t0: int = 20_000,
     rng: np.random.Generator | None = None,
-    max_wait: int = 200_000,
 ) -> RecoveryReport:
     """Mean rounds until q returns below its pre-injection level.
 
@@ -500,8 +513,8 @@ def check_recovery_time(
 
     waited = 0
     while active.any():
-        if waited >= max_wait:
-            raise PrepFailure(f"{int(active.sum())} replications unrecovered after {max_wait} rounds")
+        if waited >= MAX_RECOVERY_WAIT:
+            raise PrepFailure(f"{int(active.sum())} replications unrecovered after {waited} rounds")
         _play_round(kern, true_means, rng)
         waited += 1
         steps[active] += 1
@@ -844,8 +857,6 @@ def run_verification_suite(
         for s, m, b, c in zip(decay.s_grid, decay.means, decay.bounds, decay.ci_half_widths)
     )
     outcomes.append(CheckOutcome(name="decay", passed=decay.passed, detail=decay_detail))
-
-    from .core import make_instance  # local import to avoid cycle at module load
 
     small = make_instance((0.9, 0.5))
     exact = exact_regret_oracle(small, 0.1, 8)

@@ -138,6 +138,41 @@ class TestRun:
                                             corruption={"scheme": "consecutive", "budget": 5,
                                                         "per_step_cost": 0.999}),
                          id="per_step_cost_above_drawn_reach"),
+            # every mean must be a finite JSON number; true would run as 1.0
+            pytest.param(lambda c: c.update(instance={"means": [0.2, "0.8"]}), id="means_string"),
+            pytest.param(lambda c: c.update(instance={"means": [0.2, None]}), id="means_null"),
+            pytest.param(lambda c: c.update(instance={"means": [0.2, [0.8]]}), id="means_list"),
+            pytest.param(lambda c: c.update(instance={"means": [0.2, True]}), id="means_bool"),
+            pytest.param(lambda c: c.update(instance={"means": [0.2, float("nan")]}),
+                         id="means_nan"),
+            # labels are written unquoted into results.csv and curves.csv
+            pytest.param(lambda c: c.update(algorithms=[{"algorithm": "samba", "label": 5}]),
+                         id="label_not_string"),
+            pytest.param(lambda c: c.update(algorithms=[{"algorithm": "samba", "label": "a,b"}]),
+                         id="label_comma"),
+            pytest.param(lambda c: c.update(algorithms=[{"algorithm": "samba", "label": "a\nb"}]),
+                         id="label_newline"),
+            pytest.param(lambda c: c.update(algorithms=[{"algorithm": "samba", "label": "a\rb"}]),
+                         id="label_carriage_return"),
+            # a key the schema does not define would be ignored
+            pytest.param(lambda c: c.update(horizn=500), id="unknown_top_level_key"),
+            pytest.param(lambda c: c.update(instance={"means": [0.2, 0.9], "mean": [0.5, 0.6]}),
+                         id="unknown_instance_key"),
+            pytest.param(lambda c: c.update(corruption={"scheme": "consecutive", "budget": 5,
+                                                        "stratgy": "swap_extremes"}),
+                         id="unknown_corruption_key"),
+            pytest.param(lambda c: c.update(algorithms=[{"algorithm": "samba",
+                                                         "param": {"alpha": 0.5}}]),
+                         id="unknown_algorithm_key"),
+            pytest.param(lambda c: c.update(instance={"means": [0.2, 0.9], "k": 5}),
+                         id="k_with_explicit_means"),
+            # the plural would silently win
+            pytest.param(lambda c: c.update(corruption={"scheme": "consecutive",
+                                                        "schemes": ["even_steps"], "budget": 5}),
+                         id="scheme_and_schemes"),
+            pytest.param(lambda c: c.update(corruption={"scheme": "consecutive", "budget": 5,
+                                                        "budgets": [10]}),
+                         id="budget_and_budgets"),
         ],
     )
     def test_config_errors_exit_2(self, tmp_path, mutate):
@@ -275,6 +310,10 @@ class TestSweep:
         cfg = write_config(tmp_path, payload)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    def test_non_number_means_exit_2(self, tmp_path):
+        cfg = write_config(tmp_path, {**BASE_CONFIG, "instance": {"means": ["a", 0.5]}})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
     def test_label_distinguishes_same_algorithm(self, tmp_path):
         payload = {
             **BASE_CONFIG,
@@ -313,6 +352,21 @@ class TestBench:
         for row in rows:
             assert float(row.split(",")[1]) > 0
 
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            pytest.param({"instance": {"means": [0.2, "x"]}}, id="means_string"),
+            pytest.param({"instance": {"means": [0.2, True]}}, id="means_bool"),
+            pytest.param({"algorithms": [{"algorithm": "samba", "label": "a,b"}]},
+                         id="label_comma"),
+            pytest.param({"horizn": 100}, id="unknown_key"),
+        ],
+    )
+    def test_bad_config_exit_2(self, tmp_path, extra):
+        payload = {"schema_version": 1, "horizon": 100, "replications": 2, **extra}
+        cfg = write_config(tmp_path, payload)
+        assert main(["bench", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
     @pytest.mark.parametrize("seed", ["abc", True, -1])
     def test_bad_master_seed_exit_2(self, tmp_path, seed):
@@ -355,6 +409,26 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("seed", ["abc", True])
     def test_bad_master_seed_exit_2(self, tmp_path, seed):
         cfg = write_config(tmp_path, {**self.CONFIG, "master_seed": seed})
+        assert main(["verify", "--config", cfg, "--fast"]) == 2
+
+    @pytest.mark.parametrize(
+        "instance",
+        [
+            pytest.param([0.2, 0.8], id="instance_list"),
+            pytest.param({"means": [0.2, "0.8"]}, id="means_string"),
+            pytest.param({"means": [0.2, True]}, id="means_bool"),
+            pytest.param({"means": [0.2, 1.5]}, id="means_out_of_range"),
+            pytest.param({"k": 3, "means": "uniform"}, id="uniform_means"),
+            pytest.param({"means": [0.2, 0.8], "k": 2}, id="k_with_explicit_means"),
+            pytest.param({"meens": [0.2, 0.8]}, id="unknown_instance_key"),
+        ],
+    )
+    def test_bad_instance_exit_2(self, tmp_path, instance):
+        cfg = write_config(tmp_path, {**self.CONFIG, "instance": instance})
+        assert main(["verify", "--config", cfg, "--fast"]) == 2
+
+    def test_unknown_key_exit_2(self, tmp_path):
+        cfg = write_config(tmp_path, {**self.CONFIG, "alhpa": 0.1})
         assert main(["verify", "--config", cfg, "--fast"]) == 2
 
 

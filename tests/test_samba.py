@@ -3,6 +3,7 @@ import pytest
 
 from banditlab.core import KTooSmall
 from banditlab.samba import (
+    CLAMP_FLOOR,
     AlphaOutOfRange,
     InvalidArm,
     InvalidRewardValue,
@@ -13,6 +14,7 @@ from banditlab.samba import (
     samba_select,
     samba_update,
 )
+from banditlab.verify import tampered_update
 
 
 def rng(seed=0):
@@ -159,6 +161,14 @@ class TestFromProbabilities:
         with pytest.raises(ValueError):
             samba_from_probabilities((1.0, 0.0), 0.1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("at", [0, 1])
+    def test_rejects_non_finite(self, bad, at):
+        p = [0.5, 0.5, 0.5]
+        p[at] = bad
+        with pytest.raises(ValueError, match="finite"):
+            samba_from_probabilities(p, 0.1)
+
 
 class TestSelect:
     def test_frequencies_match_distribution(self):
@@ -208,3 +218,173 @@ class TestSimplexFuzz:
             assert abs(sum(st.p) - 1.0) <= 1e-9
             assert min(st.p) > 0.0
             assert st.clamp_events == 0
+
+
+# ---------------------------------------------------------------------------
+# The scalar step against a reference: verbatim copies of the loop-based
+# samba_leader, _clamp and samba_update that the list-level rewrite replaced.
+# Every step must agree bit for bit (compared by float.hex).
+# ---------------------------------------------------------------------------
+
+
+def ref_leader(p):
+    best = p[0]
+    lead = 0
+    for a in range(1, len(p)):
+        if p[a] > best:
+            best = p[a]
+            lead = a
+    return lead
+
+
+def ref_clamp(p):
+    k = len(p)
+    for a in range(k):
+        if p[a] < CLAMP_FLOOR:
+            p[a] = CLAMP_FLOOR
+    lead_now = ref_leader(p)
+    rest = 0.0
+    for a in range(k):
+        if a != lead_now:
+            rest += p[a]
+    p[lead_now] = 1.0 - rest
+
+
+def ref_update(state, pulled, reward):
+    p = state.p
+    k = len(p)
+    if not 0 <= pulled < k:
+        raise InvalidArm(f"arm {pulled} not in state with {k} arms")
+    if reward == 0:
+        return state
+    if reward != 1:
+        raise InvalidRewardValue(f"reward must be 0 or 1, got {reward!r}")
+
+    alpha = state.alpha
+    lead = state.leader
+    if pulled == lead:
+        p_lead = p[lead]
+        for a in range(k):
+            if a != lead:
+                p[a] -= alpha * p[a] * p[a] / p_lead
+    else:
+        p[pulled] *= 1.0 + alpha
+
+    rest = 0.0
+    for a in range(k):
+        if a != lead:
+            rest += p[a]
+    p[lead] = 1.0 - rest
+
+    low = min(p)
+    if low < CLAMP_FLOOR:
+        state.clamp_events += 1
+        ref_clamp(p)
+
+    state.leader = ref_leader(p)
+    return state
+
+
+def ref_tampered(state, pulled, reward):
+    """verify.tampered_update over the reference step."""
+    if reward == 0 or pulled == state.leader:
+        return ref_update(state, pulled, reward)
+    alpha = state.alpha
+    state.alpha = -alpha
+    try:
+        return ref_update(state, pulled, reward)
+    finally:
+        state.alpha = alpha
+
+
+def bits(state):
+    return [x.hex() for x in state.p], state.leader, state.clamp_events
+
+
+def play_both(state, steps, r, update=samba_update, reference=ref_update, means=None):
+    """Play ``state`` and a copy under ``update`` and ``reference`` on one draw stream.
+
+    Arms come from ``samba_select`` on the state, rewards from ``means`` (a
+    fair coin when None); both states must agree after every step.
+    """
+    ref = state.copy()
+    for _ in range(steps):
+        arm = samba_select(state, r)
+        reward = int(r.random() < (0.5 if means is None else means[arm]))
+        update(state, arm, reward)
+        reference(ref, arm, reward)
+        assert bits(state) == bits(ref)
+    return state
+
+
+class TestMatchesLoopReference:
+    def test_criterion_01_fuzz_histories(self):
+        # criterion 01's generator: K 2-64, alpha 0.005-0.995, uniform means
+        r = np.random.default_rng(11)
+        for _ in range(20):
+            k = int(r.integers(2, 65))
+            alpha = float(r.uniform(0.005, 0.995))
+            means = r.uniform(0.0, 1.0, size=k)
+            play_both(samba_init(k, alpha), 2_000, r, means=means)
+
+    @pytest.mark.parametrize("k", [2, 3, 6, 20, 64])
+    @pytest.mark.parametrize("alpha", [0.3, 0.9])
+    def test_clamp_path(self, k, alpha):
+        # One coordinate starts below the floor (as in the lockstep clamp
+        # test), so rewarded updates clamp until it is pulled back up.
+        r = rng(k)
+        clamps = 0
+        for tiny in range(min(k, 4)):
+            p = [1.0 / k] * k
+            p[tiny] = 0.5 * CLAMP_FLOOR
+            p[(tiny + 1) % k] += 1.0 / k - 0.5 * CLAMP_FLOOR
+            state = play_both(samba_from_probabilities(p, alpha), 300, r)
+            clamps += state.clamp_events
+        assert clamps > 0
+
+    def test_several_coordinates_below_floor(self):
+        p = [0.25 * CLAMP_FLOOR] * 4 + [0.5, 0.3, 0.2 - CLAMP_FLOOR]
+        state = play_both(samba_from_probabilities(p, 0.5), 400, rng(21))
+        assert state.clamp_events > 0
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            [0.25, 0.25, 0.25, 0.25],
+            [0.4, 0.4, 0.2],
+            [0.1, 0.3, 0.3, 0.3],
+            [0.2, 0.15, 0.3, 0.05, 0.3],
+        ],
+    )
+    def test_leader_ties(self, p):
+        assert samba_leader(p) == ref_leader(p)
+        start = samba_from_probabilities(p, 0.25)
+        for arm in range(len(p)):
+            for reward in (0, 1):
+                state, ref = start.copy(), start.copy()
+                samba_update(state, arm, reward)
+                ref_update(ref, arm, reward)
+                assert bits(state) == bits(ref)
+        play_both(start.copy(), 300, rng(len(p)))
+
+    def test_update_creates_exact_tie(self):
+        # 0.25 * 1.5 = 0.375 = 1 - (0.375 + 0.25): arms 0 and 1 tie, arm 0 leads
+        state = samba_from_probabilities([0.25, 0.5, 0.25], 0.5)
+        ref = state.copy()
+        samba_update(state, 0, 1)
+        ref_update(ref, 0, 1)
+        assert bits(state) == bits(ref)
+        assert state.p[0] == state.p[1] == 0.375
+        assert state.leader == 0
+
+    def test_tampered_update_histories(self):
+        r = rng(22)
+        for _ in range(20):
+            k = int(r.integers(2, 33))
+            alpha = float(r.uniform(0.005, 0.995))
+            play_both(samba_init(k, alpha), 500, r, update=tampered_update, reference=ref_tampered)
+        # from below the floor, the negated non-leader step runs the clamp path too
+        tiny = [0.5 * CLAMP_FLOOR, 0.3, 0.7 - 0.5 * CLAMP_FLOOR]
+        start = samba_from_probabilities(tiny, 0.6)
+        state = play_both(start, 400, r, update=tampered_update, reference=ref_tampered)
+        assert state.clamp_events > 0

@@ -151,6 +151,40 @@ class TestStatePrep:
     def test_prep_failure_when_unreachable(self):
         with pytest.raises(PrepFailure):
             prep_leader(ladder(), 0.05, rng(3), target_p_opt=0.999999, max_rounds=50)
+        with pytest.raises(PrepFailure):
+            prep_nonleader(ladder(), 0.05, rng(3), target_p_opt=1e-9, max_rounds=50)
+
+    def test_preps_make_the_draws_of_the_written_out_loop(self):
+        # select, reward draw and update from the uniform state until the
+        # state qualifies: same state, same stream position
+        inst = ladder()
+        a_star = inst.optimal_arm
+        suppressed = list(inst.means)
+        suppressed[a_star] = 0.0
+
+        def play(means, ready, r):
+            state = samba_init(inst.k, 0.05)
+            while not ready(state):
+                arm = samba_select(state, r)
+                samba_update(state, arm, 1 if r.random() < means[arm] else 0)
+            return state
+
+        def nonleader_ready(s):
+            p_star = s.p[a_star]
+            return p_star <= 0.08 and s.leader != a_star and s.p[s.leader] >= 10.0 * p_star
+
+        for seed in range(3):
+            cases = [
+                (prep_nonleader, suppressed, nonleader_ready),
+                (prep_leader, inst.means, lambda s: s.p[a_star] >= 0.6),
+            ]
+            for prep, means, ready in cases:
+                r_got, r_want = rng(seed), rng(seed)
+                got = prep(inst, 0.05, r_got)
+                want = play(means, ready, r_want)
+                assert [x.hex() for x in got.p] == [x.hex() for x in want.p]
+                assert (got.leader, got.clamp_events) == (want.leader, want.clamp_events)
+                assert r_got.random() == r_want.random()
 
 
 class TestDriftChecks:
