@@ -82,7 +82,7 @@ def _load_json(path: str) -> dict:
 
 
 def _check_keys(raw: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(raw) - allowed)
+    unknown = [key for key in raw if key not in allowed]
     if unknown:
         raise ConfigError(f"unknown key(s) {', '.join(map(repr, unknown))} in {where}")
 
