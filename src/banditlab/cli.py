@@ -46,14 +46,19 @@ CURVES_COLUMNS = "algorithm,scheme,corruption_level,t,mean_regret,sd_regret"
 BENCH_COLUMNS = "algorithm,mean_s,sd_s,step_ratio"
 # "custom" needs explicit rounds, which only the library API can pass.
 CONFIG_SCHEMES = tuple(s for s in SCHEMES if s != "custom")
-# Every key the schema defines, one set for all commands; any other key is an error.
-CONFIG_KEYS = {
+# The top-level keys each command reads; any other key is an error.
+RUN_KEYS = {
     "schema_version", "horizon", "replications", "master_seed", "checkpoints_per_decade",
-    "instance", "algorithms", "corruption", "alpha",
+    "instance", "algorithms", "corruption",
 }
+BENCH_KEYS = {"schema_version", "horizon", "replications", "master_seed", "instance", "algorithms"}
+VERIFY_KEYS = {"schema_version", "master_seed", "instance", "alpha"}
+COMMAND_KEYS = {"run": RUN_KEYS, "sweep": RUN_KEYS, "bench": BENCH_KEYS, "verify": VERIFY_KEYS}
 INSTANCE_KEYS = {"means", "k"}
 CORRUPTION_KEYS = {"scheme", "schemes", "budget", "budgets", "strategy", "per_step_cost"}
 ALGORITHM_KEYS = {"algorithm", "params", "label"}
+# The instance bench and verify use when the config gives none.
+DEFAULT_MEANS = tuple(i / 10 for i in range(1, 10))
 
 
 class ConfigError(Exception):
@@ -64,7 +69,7 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, command: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -75,9 +80,9 @@ def _load_json(path: str) -> dict:
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     version = data.get("schema_version")
-    if version != 1:
+    if not (_is_int(version) and version == 1):
         raise ConfigError(f"unsupported schema_version {version!r}, expected 1")
-    _check_keys(data, CONFIG_KEYS, "the config")
+    _check_keys(data, COMMAND_KEYS[command], f"a {command!r} config")
     return data
 
 
@@ -98,6 +103,13 @@ def _is_finite(value) -> bool:
         return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
     except OverflowError:  # an integer literal beyond float range
         return False
+
+
+def _count(cfg: dict, key: str, default: int | None = None) -> int:
+    value = cfg.get(key, default)
+    if not _is_int(value) or value < 1:
+        raise ConfigError(f"{key!r} must be a positive integer")
+    return value
 
 
 def _master_seed(cfg: dict, args, default: int) -> int:
@@ -211,8 +223,8 @@ def _parse_algorithms(cfg: dict) -> tuple[AlgorithmSpec, ...]:
         if name not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {name!r}, expected one of {ALGORITHMS}")
         params = entry.get("params", {})
-        if not isinstance(params, dict):
-            raise ConfigError("'params' must be an object")
+        if not isinstance(params, dict) or not all(map(_is_finite, params.values())):
+            raise ConfigError(f"'params' must be an object of finite numbers, got {params!r}")
         try:  # no policy's params depend on the arm count
             make_policy(name, 2, params)
         except (TypeError, ValueError) as exc:
@@ -226,16 +238,10 @@ def _parse_algorithms(cfg: dict) -> tuple[AlgorithmSpec, ...]:
 
 
 def _parse_experiment(cfg: dict, args, *, allow_grid: bool) -> ExperimentConfig:
-    horizon = cfg.get("horizon")
-    if not _is_int(horizon) or horizon < 1:
-        raise ConfigError("'horizon' must be a positive integer")
-    reps = cfg.get("replications", 1)
-    if not _is_int(reps) or reps < 1:
-        raise ConfigError("'replications' must be a positive integer")
+    horizon = _count(cfg, "horizon")
+    reps = _count(cfg, "replications", 1)
     seed = _master_seed(cfg, args, 0)
-    per_decade = cfg.get("checkpoints_per_decade", 20)
-    if not _is_int(per_decade) or per_decade < 1:
-        raise ConfigError("'checkpoints_per_decade' must be a positive integer")
+    per_decade = _count(cfg, "checkpoints_per_decade", 20)
     instances = _parse_instances(cfg, allow_grid=allow_grid)
     experiment = ExperimentConfig(
         instances=instances,
@@ -322,7 +328,7 @@ def write_bench_csv(path: str, rows: list[BenchRow]) -> None:
 
 
 def _cmd_run(args, *, allow_grid: bool) -> int:
-    cfg = _load_json(args.config)
+    cfg = _load_json(args.config, args.command)
     experiment = _parse_experiment(cfg, args, allow_grid=allow_grid)
     stats = run_batch(experiment, threads=args.threads)
     out = args.out
@@ -337,13 +343,9 @@ def _cmd_run(args, *, allow_grid: bool) -> int:
 
 
 def _cmd_bench(args) -> int:
-    cfg = _load_json(args.config) if args.config else {"schema_version": 1}
-    horizon = cfg.get("horizon", 100_000)
-    if not _is_int(horizon) or horizon < 1:
-        raise ConfigError("'horizon' must be a positive integer")
-    reps = cfg.get("replications", 5)
-    if not _is_int(reps) or reps < 1:
-        raise ConfigError("'replications' must be a positive integer")
+    cfg = _load_json(args.config, "bench") if args.config else {"schema_version": 1}
+    horizon = _count(cfg, "horizon", 100_000)
+    reps = _count(cfg, "replications", 5)
     seed = _master_seed(cfg, args, 0)
     if "algorithms" in cfg:
         algorithms = _parse_algorithms(cfg)
@@ -355,7 +357,7 @@ def _cmd_bench(args) -> int:
     if "instance" in cfg:
         instance = _parse_instances(cfg, allow_grid=False)[0]
     else:
-        instance = InstanceSpec(means=tuple(i / 10 for i in range(1, 10)))
+        instance = InstanceSpec(means=DEFAULT_MEANS)
     rows = bench_runtime(algorithms, instance, horizon, reps=reps, master_seed=seed)
     out = args.out
     os.makedirs(out, exist_ok=True)
@@ -367,14 +369,13 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = _load_json(args.config) if args.config else {"schema_version": 1}
+    cfg = _load_json(args.config, "verify") if args.config else {"schema_version": 1}
+    means = DEFAULT_MEANS
     if cfg.get("instance") is not None:
-        spec = _parse_instances(cfg, allow_grid=False)[0]
-        if spec.means is None:
+        means = _parse_instances(cfg, allow_grid=False)[0].means
+        if means is None:
             raise ConfigError("verify instance must give explicit means")
-        instance = make_instance(spec.means)
-    else:
-        instance = make_instance(tuple(i / 10 for i in range(1, 10)))
+    instance = make_instance(means)
     alpha = cfg.get("alpha", 0.05)
     if not isinstance(alpha, (int, float)) or not 0 < alpha < 1:
         raise ConfigError("'alpha' must lie in (0, 1)")
@@ -451,15 +452,9 @@ def main(argv=None) -> int:
     try:
         args.threads = _threads(args.threads)
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, BudgetExceedsHorizonCapacity) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except BudgetExceedsHorizonCapacity as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except BanditLabError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 3
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3

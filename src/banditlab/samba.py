@@ -184,7 +184,6 @@ class SambaLockstep:
     def __init__(self, p: np.ndarray, alpha: float):
         self.alpha = alpha
         self.p = p
-        self.leader = p.argmax(axis=0)
         self.cols = np.arange(p.shape[1])
         self.clamp_events = [0] * p.shape[1]
 
@@ -205,7 +204,8 @@ class SambaLockstep:
     def update(self, arms: np.ndarray, rewards: np.ndarray) -> None:
         if not rewards.any():
             return
-        alpha, p, lead, cols = self.alpha, self.p, self.leader, self.cols
+        alpha, p, cols = self.alpha, self.p, self.cols
+        lead = p.argmax(axis=0)
         # A leader pull shrinks every coordinate; any other pull grows its own.
         new = np.where(arms == lead, p - alpha * p * p / p[lead, cols], p)
         new[arms, cols] = p[arms, cols] * (1.0 + alpha)
@@ -219,11 +219,11 @@ class SambaLockstep:
                 _clamp(col)
                 p[:, c] = col
                 self.clamp_events[c] += 1
-        np.copyto(lead, p.argmax(axis=0), where=rewards)
 
     def store(self) -> None:
         """Write each column's state back into its policy."""
-        cols = zip(self.policies, self.p.T.tolist(), self.leader.tolist(), self.clamp_events)
+        leaders = self.p.argmax(axis=0).tolist()
+        cols = zip(self.policies, self.p.T.tolist(), leaders, self.clamp_events)
         for pol, p, leader, clamps in cols:
             pol.state.p = p
             pol.state.leader = leader

@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import BanditInstance, BanditLabError, InstanceTooLarge, make_instance
+from .engine import make_stream
 from .samba import SambaLockstep, SambaState, samba_init, samba_select, samba_update
 
 
@@ -35,8 +36,7 @@ class DegenerateFit(BanditLabError, ValueError):
     """Curve unsuitable for a log fit (too few points or too narrow a span)."""
 
 
-def _default_rng(seed: int = 0x5EED) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed))
+_DEFAULT_SEED = 0x5EED  # the stream a check draws from when no rng is passed
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +302,27 @@ def _mc_one_step(
     return mean, ci
 
 
+def _drift_report(
+    check: str, state: SambaState, a_star: int, means: Sequence[float],
+    metric: Callable[[SambaState], float], exact: float, bound: float,
+    cost: float, samples: int, rng: np.random.Generator, update_fn: Callable,
+) -> DriftReport:
+    """The Monte-Carlo one-step drift of ``metric`` from ``state``, judged against ``bound``."""
+    mean, ci = _mc_one_step(state, means, metric, samples, rng, update_fn)
+    return DriftReport(
+        check=check,
+        mean_drift=mean,
+        ci_half_width=ci,
+        samples=samples,
+        bound=bound,
+        exact_drift=exact,
+        passed=mean + ci <= bound,
+        p_opt=state.p[a_star],
+        p_lead=state.p[state.leader],
+        cost=cost,
+    )
+
+
 def check_drift_nonleader(
     instance: BanditInstance,
     alpha: float,
@@ -320,28 +341,16 @@ def check_drift_nonleader(
     consts = analysis_constants(instance, alpha)
     if not consts.theory_valid:
         raise ValueError("step size violates the drift condition; bound undefined")
-    rng = rng if rng is not None else _default_rng()
+    rng = rng if rng is not None else make_stream(_DEFAULT_SEED)
     state = state_prep(rng) if state_prep is not None else prep_nonleader(instance, alpha, rng)
     a_star = instance.optimal_arm
     if state.leader == a_star:
         raise PrepFailure("prepared state has the best arm as leader")
     means = _worst_case_means_nonleader(instance, state.leader, cost)
-    exact = exact_nonleader_drift(state, means, a_star)
-    mean, ci = _mc_one_step(
-        state, means, lambda s: 1.0 / s.p[a_star], samples, rng, update_fn
-    )
     bound = -consts.xi + alpha * cost * (1.0 + consts.epsilon + 1.0 / (1.0 + alpha))
-    return DriftReport(
-        check="drift_nonleader",
-        mean_drift=mean,
-        ci_half_width=ci,
-        samples=samples,
-        bound=bound,
-        exact_drift=exact,
-        passed=mean + ci <= bound,
-        p_opt=state.p[a_star],
-        p_lead=state.p[state.leader],
-        cost=cost,
+    return _drift_report(
+        "drift_nonleader", state, a_star, means, lambda s: 1.0 / s.p[a_star],
+        exact_nonleader_drift(state, means, a_star), bound, cost, samples, rng, update_fn,
     )
 
 
@@ -361,29 +370,17 @@ def check_drift_leader(
     when clean). Meaningful as an upper bound for cost <= gap/2.
     """
     consts = analysis_constants(instance, alpha)
-    rng = rng if rng is not None else _default_rng()
+    rng = rng if rng is not None else make_stream(_DEFAULT_SEED)
     state = state_prep(rng) if state_prep is not None else prep_leader(instance, alpha, rng)
     a_star = instance.optimal_arm
     if state.leader != a_star or state.p[a_star] < 0.5:
         raise PrepFailure("prepared state does not have the best arm leading with p >= 1/2")
     means = _worst_case_means_leader(instance, cost)
-    exact = exact_leader_qdrift(state, means, a_star)
     q0 = 1.0 - state.p[a_star]
-    mean, ci = _mc_one_step(
-        state, means, lambda s: 1.0 - s.p[a_star], samples, rng, update_fn
-    )
     bound = alpha * (2.0 * cost - consts.gap) * q0 * q0 / instance.k
-    return DriftReport(
-        check="drift_leader",
-        mean_drift=mean,
-        ci_half_width=ci,
-        samples=samples,
-        bound=bound,
-        exact_drift=exact,
-        passed=mean + ci <= bound,
-        p_opt=state.p[a_star],
-        p_lead=state.p[state.leader],
-        cost=cost,
+    return _drift_report(
+        "drift_leader", state, a_star, means, lambda s: 1.0 - s.p[a_star],
+        exact_leader_qdrift(state, means, a_star), bound, cost, samples, rng, update_fn,
     )
 
 
@@ -484,7 +481,7 @@ def check_recovery_time(
     """
     costs = [cost] if isinstance(cost, (int, float)) else list(cost)
     total_cost = float(sum(costs))
-    rng = rng if rng is not None else _default_rng()
+    rng = rng if rng is not None else make_stream(_DEFAULT_SEED)
     a_star = instance.optimal_arm
     true_means = np.asarray(instance.means)
     kern = SambaLockstep(np.full((instance.k, reps), 1.0 / instance.k), alpha)
@@ -565,7 +562,7 @@ def check_qhat_decay(
     re-indexed s = 0, 1, 2, ...; replications whose chain never reaches
     max(s_grid) are dropped (more than 5% dropping fails the prep).
     """
-    rng = rng if rng is not None else _default_rng()
+    rng = rng if rng is not None else make_stream(_DEFAULT_SEED)
     grid = tuple(int(s) for s in s_grid)
     s_max = max(grid)
     a_star = instance.optimal_arm
@@ -681,7 +678,7 @@ def mc_regret(
     rng: np.random.Generator | None = None,
 ) -> tuple[float, float]:
     """Monte-Carlo mean pseudo-regret of clean runs and its 3-sigma CI."""
-    rng = rng if rng is not None else _default_rng()
+    rng = rng if rng is not None else make_stream(_DEFAULT_SEED)
     true_means = np.asarray(instance.means)
     gaps = np.asarray(instance.gaps)
     kern = SambaLockstep(np.full((instance.k, episodes), 1.0 / instance.k), alpha)
@@ -811,7 +808,7 @@ def run_verification_suite(
             alpha,
             cost=cost,
             samples=sizes.drift_samples,
-            rng=_default_rng(seed + i),
+            rng=make_stream(seed + i),
             update_fn=update_fn,
         )
         outcomes.append(
@@ -831,7 +828,7 @@ def run_verification_suite(
         instance.optimal_mean,
         reps=sizes.recovery_reps,
         t0=sizes.recovery_t0,
-        rng=_default_rng(seed + 11),
+        rng=make_stream(seed + 11),
     )
     outcomes.append(
         CheckOutcome(
@@ -850,7 +847,7 @@ def run_verification_suite(
         horizon=sizes.decay_horizon,
         reps=sizes.decay_reps,
         s_grid=sizes.decay_grid,
-        rng=_default_rng(seed + 12),
+        rng=make_stream(seed + 12),
     )
     decay_detail = ", ".join(
         f"s={s}: {m:.4f}<= {b:.4f}+{c:.4f}"
@@ -860,7 +857,7 @@ def run_verification_suite(
 
     small = make_instance((0.9, 0.5))
     exact = exact_regret_oracle(small, 0.1, 8)
-    mc_mean, mc_ci = mc_regret(small, 0.1, 8, sizes.mc_episodes, _default_rng(seed + 13))
+    mc_mean, mc_ci = mc_regret(small, 0.1, 8, sizes.mc_episodes, make_stream(seed + 13))
     outcomes.append(
         CheckOutcome(
             name="oracle_mc",

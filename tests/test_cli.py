@@ -1,10 +1,12 @@
+import argparse
 import json
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
-from banditlab.cli import main
+from banditlab.cli import _load_json, _parse_experiment, _parse_instances, main
 from banditlab.engine import InstanceSpec, split_seed
 
 BASE_CONFIG = {
@@ -154,6 +156,20 @@ class TestRun:
                          id="label_newline"),
             pytest.param(lambda c: c.update(algorithms=[{"algorithm": "samba", "label": "a\rb"}]),
                          id="label_carriage_return"),
+            # schema_version must be the JSON integer 1
+            pytest.param(lambda c: c.update(schema_version=True), id="schema_version_bool"),
+            pytest.param(lambda c: c.update(schema_version=1.0), id="schema_version_float"),
+            # params must be finite numbers: true would run as 1.0, NaN and
+            # Infinity would fail mid-grid
+            pytest.param(lambda c: c.update(algorithms=[{"algorithm": "barbar",
+                                                         "params": {"lambda_scale": True}}]),
+                         id="params_bool"),
+            pytest.param(lambda c: c.update(algorithms=[{"algorithm": "barbar",
+                                                         "params": {"lambda_scale": float("nan")}}]),
+                         id="params_nan"),
+            pytest.param(lambda c: c.update(algorithms=[{"algorithm": "tsallis_inf",
+                                                         "params": {"eta_scale": float("inf")}}]),
+                         id="params_inf"),
             # a key the schema does not define would be ignored
             pytest.param(lambda c: c.update(horizn=500), id="unknown_top_level_key"),
             pytest.param(lambda c: c.update(instance={"means": [0.2, 0.9], "mean": [0.5, 0.6]}),
@@ -430,6 +446,50 @@ class TestVerifyCommand:
     def test_unknown_key_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, {**self.CONFIG, "alhpa": 0.1})
         assert main(["verify", "--config", cfg, "--fast"]) == 2
+
+
+BENCH_CONFIG = {"schema_version": 1, "horizon": 100, "replications": 2}
+VERIFY_CONFIG = {"schema_version": 1, "alpha": 0.05, "master_seed": 2024}
+
+
+class TestCommandKeys:
+    """Each command accepts only the top-level keys it reads."""
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("verify", "horizon", 500),
+            ("verify", "replications", 2),
+            ("verify", "algorithms", [{"algorithm": "samba"}]),
+            ("verify", "corruption", {"scheme": "consecutive", "budget": 5}),
+            ("verify", "checkpoints_per_decade", 20),
+            ("bench", "corruption", {"scheme": "consecutive", "budget": 5}),
+            ("bench", "checkpoints_per_decade", 20),
+            ("bench", "alpha", 0.05),
+            ("run", "alpha", 0.05),
+            ("sweep", "alpha", 0.05),
+        ],
+    )
+    def test_unread_key_exit_2(self, tmp_path, capsys, command, key, value):
+        base = {"verify": VERIFY_CONFIG, "bench": BENCH_CONFIG}.get(command, BASE_CONFIG)
+        cfg = write_config(tmp_path, {**base, key: value})
+        argv = [command, "--config", cfg, "--out", str(tmp_path / "o")]
+        assert main(argv + (["--fast"] if command == "verify" else [])) == 2
+        err = capsys.readouterr().err
+        assert repr(key) in err and repr(command) in err
+
+    @pytest.mark.parametrize(
+        "name, command",
+        [("quickstart", "run"), ("full_grid", "run"), ("k_sweep", "sweep"), ("verify", "verify")],
+    )
+    def test_shipped_configs_parse(self, name, command):
+        path = pathlib.Path(__file__).parent.parent / "configs" / f"{name}.json"
+        cfg = _load_json(str(path), command)
+        if command == "verify":
+            assert _parse_instances(cfg, allow_grid=False)[0].means is not None
+        else:
+            args = argparse.Namespace(seed=None)
+            assert _parse_experiment(cfg, args, allow_grid=command == "sweep").cells()
 
 
 class TestProcessLevel:
