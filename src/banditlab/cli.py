@@ -371,7 +371,7 @@ def _cmd_bench(args) -> int:
 def _cmd_verify(args) -> int:
     cfg = _load_json(args.config, "verify") if args.config else {"schema_version": 1}
     means = DEFAULT_MEANS
-    if cfg.get("instance") is not None:
+    if "instance" in cfg:
         means = _parse_instances(cfg, allow_grid=False)[0].means
         if means is None:
             raise ConfigError("verify instance must give explicit means")

@@ -173,14 +173,11 @@ def run_episode(
 
     Round protocol: the policy picks an arm, the reward is drawn from that
     round's *corrupted* mean and fed back to the policy, and the arm's
-    true-mean gap is added to the pseudo-regret. The adversary is oblivious,
-    so its corruption of every round, and the spend its ledger charges, are
-    resolved before round 0 and the loop only looks the means up. That
-    set-up costs O(runs of rounds that share a corrupted vector), not
-    O(corrupted rounds): a run of an arithmetic schedule is one ``range``,
-    written into the per-round row index as one slice.
-    Checkpoints outside [1, horizon] are ignored. Per-round arms and rewards
-    are not kept; a policy wrapper sees each pair through ``update``.
+    true-mean gap is added to the pseudo-regret. Each round's means are read
+    from the one table :func:`_episode_setup` resolves before round 0, as
+    ``flat[offset[t] + arm]``. Checkpoints outside [1, horizon] are ignored.
+    Per-round arms and rewards are not kept; a policy wrapper sees each pair
+    through ``update``.
 
     A policy with ``commit``/``observe`` (barbar, cbarbar) fixes its arms
     ahead, so it is played a committed block at a time with numpy (see
@@ -195,17 +192,9 @@ def run_episode(
     key gets the ``time.perf_counter()`` reading taken when the loop reaches
     that round (``horizon``: after the last round).
     """
-    env_rng = make_stream(split_seed(seed, _ENV))
-    policy_rng = make_stream(split_seed(seed, _POLICY))
-    adv_rng = make_stream(split_seed(seed, _ADVERSARY))
-    ledger = make_ledger(instance, plan, per_step_cost, adv_rng)
-    # Each round's means as a row of a small table of the distinct vectors.
-    row_of = {instance.means: 0}
-    rows = np.zeros(horizon, dtype=np.intp)
-    for rounds, means, _ in resolve_corruption_runs(instance, ledger):
-        rows[_round_index(rounds, horizon)] = row_of.setdefault(means, len(row_of))
-    vectors = list(row_of)
-
+    env_rng, policy_rng, spent, flat, offset = _episode_setup(
+        instance, plan, horizon, seed, per_step_cost
+    )
     if checkpoints is None:
         checkpoints = checkpoint_grid(horizon)
     uniforms = env_rng.random(horizon)
@@ -222,19 +211,15 @@ def run_episode(
             policy,
             policy_rng,
             uniforms,
-            np.array(vectors),
-            rows,
+            flat,
+            offset,
             instance.gaps,
             [t for t in stops if t in cps],
             sorted(stamped),
             stamps,
         )
     else:
-        table = np.empty(len(vectors), dtype=object)
-        for i, means in enumerate(vectors):
-            table[i] = means
-        means_at = table[rows].tolist()
-        uniforms = uniforms.tolist()
+        flat, offset, uniforms = flat.tolist(), offset.tolist(), uniforms.tolist()
         gaps = instance.gaps
         cum_regret = 0.0
         curve = []
@@ -249,7 +234,7 @@ def run_episode(
             draws = policy_rng.random(n).tolist() if pick else repeat(policy_rng, n)
             for t, u in zip(range(t0, stop), draws):
                 arm = choose(u)
-                reward = 1 if uniforms[t] < means_at[t][arm] else 0
+                reward = 1 if uniforms[t] < flat[offset[t] + arm] else 0
                 update(arm, reward)
                 cum_regret += gaps[arm]
             t0 = stop
@@ -263,23 +248,43 @@ def run_episode(
         algorithm=getattr(policy, "name", type(policy).__name__),
         seed=seed,
         checkpoints=curve,
-        realized_spend=ledger.spent,
+        realized_spend=spent,
     )
 
 
-def _round_index(rounds, horizon: int):
-    """A run's rounds as an index into a per-round array of length ``horizon``:
-    a slice for a ``range``, else an array. A round at or past the horizon
-    raises ``IndexError``, as an index array does, where a slice would drop it.
+def _episode_setup(instance, plan, horizon, seed, per_step_cost):
+    """An episode's env and policy streams, realized spend and means table.
+
+    Makes the env, policy and adversary streams, in that order, and resolves
+    the adversary's whole corruption and spend before round 0: it is
+    oblivious, so the loops only look the means up. Round t's mean of arm a
+    is ``flat[offset[t] + a]``, where ``flat`` holds the clean means and then
+    each corrupted run's means, and ``offset`` is 0 on a clean round. The
+    set-up costs O(runs of rounds that share a corrupted vector), not
+    O(corrupted rounds): a run of an arithmetic schedule is one ``range``,
+    written into ``offset`` as one slice. A scheduled round at or past the
+    horizon raises ``IndexError`` naming it, whether the schedule is a
+    ``range`` or a tuple.
     """
-    if isinstance(rounds, range):
-        if rounds and rounds[-1] >= horizon:
-            raise IndexError(f"round {rounds[-1]} is out of bounds for a horizon of {horizon}")
-        return slice(rounds.start, rounds.stop, rounds.step)
-    return np.asarray(rounds, dtype=np.intp)
+    env_rng, policy_rng, adv_rng = (
+        make_stream(split_seed(seed, sub)) for sub in (_ENV, _POLICY, _ADVERSARY)
+    )
+    ledger = make_ledger(instance, plan, per_step_cost, adv_rng)
+    runs = resolve_corruption_runs(instance, ledger)
+    # Runs are in round order, so the last round is the latest one.
+    if runs and runs[-1][0][-1] >= horizon:
+        raise IndexError(f"round {runs[-1][0][-1]} is out of bounds for a horizon of {horizon}")
+    offset = np.zeros(horizon, dtype=np.intp)
+    for i, (rounds, _, _) in enumerate(runs, 1):
+        if isinstance(rounds, range):
+            offset[rounds.start : rounds.stop : rounds.step] = i * instance.k
+        else:
+            offset[np.asarray(rounds, dtype=np.intp)] = i * instance.k
+    flat = np.array([instance.means, *(means for _, means, _ in runs)]).ravel()
+    return env_rng, policy_rng, ledger.spent, flat, offset
 
 
-def _play_blocks(policy, policy_rng, uniforms, table, rows, gaps, pending, stops, stamps):
+def _play_blocks(policy, policy_rng, uniforms, flat, offset, gaps, pending, stops, stamps):
     """The round loop of :func:`run_episode` for a policy that commits its arms ahead.
 
     ``policy.commit(rng)`` returns the (non-empty) arms the policy will play
@@ -293,8 +298,6 @@ def _play_blocks(policy, policy_rng, uniforms, table, rows, gaps, pending, stops
     """
     commit, observe = policy.commit, policy.observe
     gaps = np.asarray(gaps)
-    k = table.shape[1]
-    flat_means = table.ravel()
     cp = 0
     curve = []
     cum_regret = 0.0
@@ -304,7 +307,7 @@ def _play_blocks(policy, policy_rng, uniforms, table, rows, gaps, pending, stops
             arms = commit(policy_rng)
             end = min(t + len(arms), stop)
             arms = arms[: end - t]
-            rewards = uniforms[t:end] < flat_means[rows[t:end] * k + arms]
+            rewards = uniforms[t:end] < flat[offset[t:end] + arms]
             observe(arms, rewards)
             regret = np.empty(end - t + 1)
             regret[0] = cum_regret
@@ -341,36 +344,30 @@ def run_lockstep(
     instances must share an arm count. Each replication draws its env and
     policy uniforms from its own streams in windows of at most
     ``_LOCKSTEP_WINDOW`` rounds (chunked draws equal one-shot draws), and
-    reads each round's means through a windowed row index into a table of
-    every replication's distinct vectors, so no (R, T) array is allocated.
+    reads each round's means from its own :func:`_episode_setup` table,
+    through a window of offsets into all the tables concatenated, so no
+    (R, T) array is allocated.
     Regret is summed per replication in round order, as the per-round loop
     sums it.
     """
     batch = type(policies[0]).lockstep(policies)
     n, k = len(policies), instances[0].k
-    env_rngs = [make_stream(split_seed(seed, _ENV)) for seed in seeds]
-    policy_rngs = [make_stream(split_seed(seed, _POLICY)) for seed in seeds]
-    # Every replication's distinct mean vectors, flattened; per replication,
-    # the offset of its clean vector, its corrupted rounds in order, and the
-    # offset of each one's vector.
-    vectors = []
-    tables = []
-    spends = []
-    positions = np.arange(horizon, dtype=np.intp)
+    # Every replication's means table, concatenated; per replication, the
+    # start of its table, its corrupted rounds in order and their offsets.
+    env_rngs, policy_rngs, spends, flats, tables = [], [], [], [], []
+    start = 0
     for inst, seed in zip(instances, seeds):
-        ledger = make_ledger(inst, plan, per_step_cost, make_stream(split_seed(seed, _ADVERSARY)))
-        runs = resolve_corruption_runs(inst, ledger)
-        sizes = [len(rounds) for rounds, _, _ in runs]
-        first = len(vectors) + 1
-        tables.append((
-            len(vectors) * k,
-            np.concatenate([positions[:0], *(positions[_round_index(r, horizon)] for r, _, _ in runs)]),
-            np.repeat(np.arange(first, first + len(runs)) * k, sizes),
-        ))
-        vectors.append(inst.means)
-        vectors.extend(means for _, means, _ in runs)
-        spends.append(ledger.spent)
-    flat_means = np.array(vectors).ravel()
+        env_rng, policy_rng, spent, flat, offset = _episode_setup(
+            inst, plan, horizon, seed, per_step_cost
+        )
+        rounds = np.flatnonzero(offset)
+        tables.append((start, rounds, offset[rounds] + start))
+        env_rngs.append(env_rng)
+        policy_rngs.append(policy_rng)
+        spends.append(spent)
+        flats.append(flat)
+        start += flat.size
+    flat_means = np.concatenate(flats)
     flat_gaps = np.array([inst.gaps for inst in instances]).ravel()
     offsets = np.arange(n) * k
 
@@ -380,7 +377,7 @@ def run_lockstep(
     pick, update = batch.pick, batch.update
     env = np.empty((n, _LOCKSTEP_WINDOW))
     draws = np.empty((n, _LOCKSTEP_WINDOW))
-    rows = np.empty((n, _LOCKSTEP_WINDOW), dtype=np.intp)
+    window = np.empty((n, _LOCKSTEP_WINDOW), dtype=np.intp)
     cum_regret = np.zeros(n)
     curve = []
     for t0 in range(0, horizon, _LOCKSTEP_WINDOW):
@@ -390,12 +387,12 @@ def run_lockstep(
             policy_rngs[r].random(out=draws[r, :w])
             clean, rounds, at = tables[r]
             lo, hi = rounds.searchsorted((t0, t0 + w))
-            rows[r, :w] = clean
-            rows[r, rounds[lo:hi] - t0] = at[lo:hi]
-        env_t, draws_t, rows_t = env[:, :w].T.copy(), draws[:, :w].T.copy(), rows[:, :w].T.copy()
+            window[r, :w] = clean
+            window[r, rounds[lo:hi] - t0] = at[lo:hi]
+        env_t, draws_t, offset_t = (a[:, :w].T.copy() for a in (env, draws, window))
         for j in range(w):
             arms = pick(draws_t[j])
-            update(arms, env_t[j] < flat_means[rows_t[j] + arms])
+            update(arms, env_t[j] < flat_means[offset_t[j] + arms])
             cum_regret += flat_gaps[offsets + arms]
             if t0 + j + 1 in cps:
                 curve.append((t0 + j + 1, cum_regret.tolist()))

@@ -747,7 +747,7 @@ class CheckOutcome:
 
 @dataclass(frozen=True)
 class SuiteSizes:
-    drift_samples: int = 1_000_000
+    drift_samples: int = 4_000_000
     recovery_reps: int = 10_000
     recovery_t0: int = 20_000
     decay_reps: int = 200
@@ -760,7 +760,7 @@ class SuiteSizes:
     @staticmethod
     def fast() -> "SuiteSizes":
         return SuiteSizes(
-            drift_samples=400_000,
+            drift_samples=1_600_000,
             recovery_reps=1_000,
             recovery_t0=8_000,
             decay_reps=60,

@@ -97,3 +97,41 @@ def test_bounds_come_from_benchmark_json():
 def test_one_pair_summarises():
     worse, unresolved, gain = verdicts([1.0], [1.3])
     assert worse and not unresolved and not gain
+
+
+VERIFY_STDOUT = """\
+constants                    PASS  alpha=0.05 vs bound=0.1, epsilon=0.01
+drift_nonleader_clean        FAIL  drift=-1.2e-03 +/- 1.0e-04 vs bound=-1.3e-03 (exact -1.4e-03)
+drift_nonleader_corrupted    PASS  drift=-1.0e-03 +/- 1.0e-04 vs bound=-1.1e-03 (exact -1.2e-03)
+decay                        FAIL  s=100: 0.5000<= 0.4000+0.0100
+log_fit                      PASS  slope=60.0 (cap 100), rss ln=1 vs ln^2=2
+2 of 5 checks failed
+"""
+
+
+def test_failing_checks_reads_fail_lines_only():
+    assert bench_pairs.failing_checks(VERIFY_STDOUT) == ["drift_nonleader_clean", "decay"]
+    passing = "constants                    PASS  FAIL in the detail\nall 1 checks passed\n"
+    assert bench_pairs.failing_checks(passing) == []
+
+
+def test_seed_list_joins_spans():
+    assert bench_pairs._seed_list("11-13,21,101-102") == [11, 12, 13, 21, 101, 102]
+    assert bench_pairs._seeds("grid_gradient:7-8") == ("grid_gradient", [7, 8])
+
+
+def test_summarise_verify_counts_seeds_and_checks():
+    def run(seed, failing, code=None):
+        return {"seed": seed, "exit": 1 if failing else (code or 0), "failing": failing}
+
+    runs = {
+        "parent": [run(1, ["decay", "drift_leader_clean"]), run(2, ["decay"]), run(3, [])],
+        "change": [run(1, []), run(2, [], code=2), run(3, [])],
+    }
+    summary = bench_pairs.summarise_verify(runs)
+    assert summary["parent"] == {
+        "seeds": 3,
+        "seeds_with_failure": 2,
+        "failures_by_check": {"decay": 2, "drift_leader_clean": 1},
+    }
+    assert summary["change"] == {"seeds": 3, "seeds_with_failure": 1, "failures_by_check": {}}

@@ -372,6 +372,7 @@ class TestBench:
     @pytest.mark.parametrize(
         "extra",
         [
+            pytest.param({"instance": None}, id="instance_null"),
             pytest.param({"instance": {"means": [0.2, "x"]}}, id="means_string"),
             pytest.param({"instance": {"means": [0.2, True]}}, id="means_bool"),
             pytest.param({"algorithms": [{"algorithm": "samba", "label": "a,b"}]},
@@ -430,6 +431,7 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "instance",
         [
+            pytest.param(None, id="instance_null"),
             pytest.param([0.2, 0.8], id="instance_list"),
             pytest.param({"means": [0.2, "0.8"]}, id="means_string"),
             pytest.param({"means": [0.2, True]}, id="means_bool"),

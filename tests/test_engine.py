@@ -180,20 +180,29 @@ class TestRunEpisode:
         assert self._run()[0].algorithm == "samba"
 
     @pytest.mark.parametrize(
-        "scheme, horizon",
-        [("consecutive", 3999), ("even_steps", 7998), ("delayed_block", 6499)],
+        "scheme, budget, horizon",
+        [
+            ("consecutive", 1000.0, 3999),
+            ("even_steps", 1000.0, 7998),
+            ("delayed_block", 1000.0, 6499),
+            ("random_early", 100.0, 300),
+        ],
+        ids=["consecutive-3999", "even_steps-7998", "delayed_block-6499", "random_early-300"],
     )
-    def test_schedule_past_horizon_raises(self, scheme, horizon):
-        # A plan bound to a longer horizon whose schedule (4,000 rounds, the
-        # last at `horizon`) does not fit the episode: no round is dropped.
+    def test_schedule_past_horizon_raises(self, scheme, budget, horizon):
+        # A plan bound to a longer horizon whose schedule does not fit the
+        # episode: no round is dropped, and the error names the schedule's
+        # last round whether the schedule is a range or a tuple.
         inst = make_instance((0.2, 0.5, 0.9))
-        plan = CorruptionPlan(scheme=scheme, budget=1000.0, horizon=10_000)
-        with pytest.raises(IndexError, match=f"round {horizon} "):
+        plan = CorruptionPlan(scheme=scheme, budget=budget, horizon=10_000)
+        ledger = make_ledger(inst, plan, 0.25, make_stream(split_seed(5, _ADVERSARY)))
+        last = ledger.schedule[-1]
+        with pytest.raises(IndexError, match=f"round {last} "):
             run_episode(SambaPolicy(3, alpha=0.05), inst, plan, horizon, 5, per_step_cost=0.25)
         trace = run_episode(
-            SambaPolicy(3, alpha=0.05), inst, plan, horizon + 1, 5, per_step_cost=0.25
+            SambaPolicy(3, alpha=0.05), inst, plan, last + 1, 5, per_step_cost=0.25
         )
-        assert trace.spent() == 1000.0
+        assert trace.spent() == budget
 
 
 def reference_episode(policy, instance, plan, horizon, seed, per_step_cost, checkpoints):

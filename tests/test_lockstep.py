@@ -266,15 +266,21 @@ class TestLockstepMatchesEpisodes:
             policies, singles, instances, plan, horizon, seeds, streams, per_step_cost=0.15
         )
 
-    def test_schedule_past_horizon_raises(self):
-        # An even_steps schedule whose last round (7,998) lies past the
-        # lockstep horizon raises rather than being clipped.
+    @pytest.mark.parametrize(
+        "scheme, budget, horizon",
+        [("even_steps", 1000.0, 5000), ("random_early", 100.0, 300)],
+        ids=["even_steps", "random_early"],
+    )
+    def test_schedule_past_horizon_raises(self, scheme, budget, horizon):
+        # A schedule (a range, or a tuple) whose last round lies past the
+        # lockstep horizon raises, naming that round, rather than being clipped.
         seeds = [split_seed(62, i) for i in range(2)]
         instances = [InstanceSpec(k=6).resolve(seed) for seed in seeds]
-        plan = PlanSpec(scheme="even_steps", budget=1000.0).bind(10_000)
+        plan = PlanSpec(scheme=scheme, budget=budget).bind(10_000)
         policies = [_policy("samba", 6) for _ in seeds]
-        with pytest.raises(IndexError, match="round 7998 "):
-            engine.run_lockstep(policies, instances, plan, 5000, seeds, per_step_cost=0.25)
+        ledger = make_ledger(instances[0], plan, 0.25, philox(split_seed(seeds[0], _ADVERSARY)))
+        with pytest.raises(IndexError, match=f"round {ledger.schedule[-1]} "):
+            engine.run_lockstep(policies, instances, plan, horizon, seeds, per_step_cost=0.25)
 
     def test_single_replication(self, streams):
         seeds = [split_seed(8, 0)]

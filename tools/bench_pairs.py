@@ -5,7 +5,8 @@ Usage (from anywhere):
     python3 tools/bench_pairs.py --parent PARENT_TREE --change CHANGE_TREE \\
         --pairs grid_gradient:3201-3210 --pairs grid_phased_corrupt:3301-3310 \\
         --seconds 55 --digest configs/quickstart.json --tier1 \\
-        --probe grid_phased_corrupt:3401 --title "what changed" --out BENCH_8_name.json
+        --probe grid_phased_corrupt:3401 --verify-seeds 11-15,21-25 \\
+        --title "what changed" --out BENCH_8_name.json
 
 For every seed of every ``--pairs WORKLOAD:FIRST-LAST`` range it runs
 ``benchmark/run.py --workload WORKLOAD --seed SEED --seconds S --trace 0`` in
@@ -29,6 +30,10 @@ its config at ``--threads`` 1 and 2, timed inside the interpreter, and the
 benchmark's adversary profile (``adversary.*`` per-layer metrics, among them
 the one-round ``apply_corruption`` cost); it records every reading and the
 medians.
+``--verify-seeds FIRST-LAST,...`` runs ``banditlab verify --fast --seed S``
+for each seed in both trees, alternating which tree goes first, and records
+each call's exit code, wall time and failing checks, and per tree the count
+of seeds with any failure and of failures per check.
 
 Runs are sequential and use at most the workers the benchmark itself starts.
 Relative paths are taken from the current directory. The record names each
@@ -80,10 +85,18 @@ def _env(tree: str) -> dict:
     return dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
 
 
+def _seed_list(spans: str) -> list[int]:
+    """``11-15,21,101-102`` as [11, ..., 15, 21, 101, 102]."""
+    seeds = []
+    for span in spans.split(","):
+        first, _, last = span.partition("-")
+        seeds.extend(range(int(first), int(last or first) + 1))
+    return seeds
+
+
 def _seeds(spec: str) -> tuple[str, list[int]]:
-    workload, _, span = spec.partition(":")
-    first, _, last = span.partition("-")
-    return workload, list(range(int(first), int(last or first) + 1))
+    workload, _, spans = spec.partition(":")
+    return workload, _seed_list(spans)
 
 
 def _probe_seed(spec: str) -> tuple[str, int]:
@@ -178,6 +191,36 @@ def digest_run(tree: str, config: str, threads: int) -> dict:
     return record
 
 
+def failing_checks(stdout: str) -> list[str]:
+    """Names of the checks a ``banditlab verify`` run printed as FAIL, in order."""
+    return re.findall(r"^(\S+) +FAIL  ", stdout, re.MULTILINE)
+
+
+def verify_run(tree: str, seed: int) -> dict:
+    cmd = [sys.executable, "-m", "banditlab.cli", "verify", "--fast", "--seed", str(seed)]
+    start = time.perf_counter()
+    done = subprocess.run(cmd, cwd=tree, env=_env(tree), capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    return {"seed": seed, "exit": done.returncode, "wall_s": wall,
+            "failing": failing_checks(done.stdout)}
+
+
+def summarise_verify(runs: dict) -> dict:
+    """Per tree: seeds whose run failed (any exit but 0) and failures per check."""
+    summary = {}
+    for side in SIDES:
+        by_check = {}
+        for run in runs[side]:
+            for name in run["failing"]:
+                by_check[name] = by_check.get(name, 0) + 1
+        summary[side] = {
+            "seeds": len(runs[side]),
+            "seeds_with_failure": sum(run["exit"] != 0 for run in runs[side]),
+            "failures_by_check": dict(sorted(by_check.items())),
+        }
+    return summary
+
+
 def tier1_run(tree: str) -> dict:
     cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
            "--durations=0", "-rA", "-p", "no:cacheprovider"]
@@ -229,6 +272,7 @@ def main(argv=None) -> int:
     parser.add_argument("--digest-threads", default="1,2")
     parser.add_argument("--tier1", action="store_true")
     parser.add_argument("--probe", action="append", default=[], metavar="WORKLOAD:SEED")
+    parser.add_argument("--verify-seeds", metavar="FIRST-LAST,...")
     parser.add_argument("--title", default="")
     parser.add_argument("--note", action="append", default=[], help="free text kept in the record")
     parser.add_argument("--out", required=True)
@@ -280,6 +324,15 @@ def main(argv=None) -> int:
 
     for workload, seed in probes:
         record.setdefault("probes", []).append(probe(trees, workload, seed))
+
+    if args.verify_seeds:
+        runs = {side: [] for side in SIDES}
+        for i, seed in enumerate(_seed_list(args.verify_seeds)):
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                runs[side].append(verify_run(trees[side], seed))
+                print(f"verify seed {seed} {side}: exit {runs[side][-1]['exit']} "
+                      f"{runs[side][-1]['failing']}", file=sys.stderr, flush=True)
+        record["verify_seeds"] = {"summary": summarise_verify(runs), "runs": runs}
 
     if args.tier1:
         record["tier1"] = {side: tier1_run(trees[side]) for side in SIDES}
