@@ -19,7 +19,8 @@ tsallis_inf) together as numpy columns, each bit-identical to its own
 ``LOCKSTEP_MIN_REPLICATIONS`` replications of such a policy to
 ``run_lockstep`` as one pool task, and every other cell to ``run_episode``
 a few episodes per task; either way results are reduced by replication
-index, so neither the path nor the worker count changes a byte.
+index, so neither the path nor the worker count changes a byte. On every
+path, an episode's streams, spend and means table come from :func:`_episode_setup`.
 """
 
 from __future__ import annotations

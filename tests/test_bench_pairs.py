@@ -121,12 +121,12 @@ def test_seed_list_joins_spans():
 
 
 def test_summarise_verify_counts_seeds_and_checks():
-    def run(seed, failing, code=None):
-        return {"seed": seed, "exit": 1 if failing else (code or 0), "failing": failing}
+    def run(failing, code=0):
+        return {"exit": 1 if failing else code, "failing": failing}
 
     runs = {
-        "parent": [run(1, ["decay", "drift_leader_clean"]), run(2, ["decay"]), run(3, [])],
-        "change": [run(1, []), run(2, [], code=2), run(3, [])],
+        "parent": [run(["decay", "drift_leader_clean"]), run(["decay"]), run([])],
+        "change": [run([]), run([], code=2), run([])],
     }
     summary = bench_pairs.summarise_verify(runs)
     assert summary["parent"] == {

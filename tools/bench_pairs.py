@@ -54,6 +54,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 
 SIDES = ("parent", "change")
 PROBE_REPEATS = 7
@@ -207,18 +208,16 @@ def verify_run(tree: str, seed: int) -> dict:
 
 def summarise_verify(runs: dict) -> dict:
     """Per tree: seeds whose run failed (any exit but 0) and failures per check."""
-    summary = {}
-    for side in SIDES:
-        by_check = {}
-        for run in runs[side]:
-            for name in run["failing"]:
-                by_check[name] = by_check.get(name, 0) + 1
-        summary[side] = {
+    return {
+        side: {
             "seeds": len(runs[side]),
             "seeds_with_failure": sum(run["exit"] != 0 for run in runs[side]),
-            "failures_by_check": dict(sorted(by_check.items())),
+            "failures_by_check": dict(sorted(
+                Counter(name for run in runs[side] for name in run["failing"]).items()
+            )),
         }
-    return summary
+        for side in SIDES
+    }
 
 
 def tier1_run(tree: str) -> dict:
