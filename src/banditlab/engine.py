@@ -25,9 +25,13 @@ path, an episode's streams, spend and means table come from :func:`_episode_setu
 
 from __future__ import annotations
 
+import contextlib
 import os
+import pickle
+import selectors
+import signal
 import time
-from concurrent.futures import ProcessPoolExecutor
+import traceback
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -467,6 +471,113 @@ def _cell_task(args):
     ]
 
 
+def _run_forked(tasks: list, order: list[int], workers: int) -> list:
+    """``[_cell_task(t) for t in tasks]`` on ``min(workers, len(tasks))`` forked workers.
+
+    Workers inherit ``tasks`` through the fork, so no argument is pickled.
+    Each reads task indexes from its own pipe and writes one pickled
+    ``(index, rows, error)`` per task to its own result pipe; the parent
+    hands the next index of ``order`` to whichever worker just replied. A
+    worker keeps only its own two pipe ends, so it sees end of file on its
+    task pipe, and exits, once the parent has closed that pipe or died. On
+    any error or interrupt the parent kills and reaps every worker, then
+    raises: a task's exception with its own type, or a RuntimeError naming a
+    worker that died without replying. No worker outlives the call.
+    """
+    # numpy loads numpy.random lazily, on the first stream. Loading it here,
+    # once, spares each worker that import: 17-21 ms per worker on a 2-vCPU
+    # x86_64 host, against about 0.12 s for a whole grid_phased_corrupt run.
+    # It adds 2.1 MB to the parent's resident set; not importing
+    # concurrent.futures saves 1.7 MB of that.
+    import numpy.random  # noqa: F401
+
+    done = [None] * len(tasks)
+    pipes = {}  # pid -> [task pipe write end, result pipe read end]; -1 once closed
+    running = {}  # pid -> index of the task it is running
+    pending = iter(order)
+
+    def send(pid, index):
+        running[pid] = index
+        os.write(pipes[pid][0], b"%d\n" % index)
+
+    failed = True
+    try:
+        for _ in range(min(workers, len(tasks))):
+            task_r, task_w = os.pipe()
+            result_r, result_w = os.pipe()
+            pid = os.fork()
+            if pid:
+                pipes[pid] = [task_w, result_r]
+            else:
+                code = 1
+                try:
+                    for fd in (task_w, result_r, *(fd for ends in pipes.values() for fd in ends)):
+                        os.close(fd)
+                    _serve(tasks, task_r, result_w)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(task_r)
+            os.close(result_w)
+            send(pid, next(pending))
+        with selectors.DefaultSelector() as sel:
+            for pid, (_, result_r) in pipes.items():
+                replies = os.fdopen(result_r, "rb", closefd=False)
+                sel.register(result_r, selectors.EVENT_READ, (pid, replies))
+            while sel.get_map():
+                for key, _ in sel.select():
+                    pid, replies = key.data
+                    try:
+                        index, rows, error = pickle.load(replies)
+                    except Exception:
+                        raise RuntimeError(
+                            f"worker process {pid} exited during task {running[pid]} "
+                            "without returning it"
+                        ) from None
+                    if error is not None:
+                        exc, trace = error
+                        raise exc from RuntimeError(f"in worker process {pid}:\n{trace}")
+                    done[index] = rows
+                    index = next(pending, None)
+                    if index is not None:
+                        send(pid, index)
+                    else:  # end of file on its task pipe: the worker exits
+                        sel.unregister(key.fileobj)
+                        os.close(pipes[pid][0])
+                        pipes[pid][0] = -1
+        failed = False
+    finally:
+        for pid, ends in pipes.items():
+            for fd in ends:
+                if fd >= 0:
+                    os.close(fd)
+            if failed:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return done
+
+
+def _serve(tasks: list, task_fd: int, result_fd: int) -> None:
+    """A forked worker's loop: run each task index read from ``task_fd``,
+    until end of file, and write its pickled reply to ``result_fd``."""
+    with os.fdopen(task_fd, "rb") as inbox, os.fdopen(result_fd, "wb") as outbox:
+        for line in inbox:
+            index = int(line)
+            try:
+                reply = pickle.dumps((index, _cell_task(tasks[index]), None))
+            except Exception as exc:  # noqa: BLE001 - raised again in the parent
+                trace = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
+                try:
+                    reply = pickle.dumps((index, None, (exc, trace)))
+                    pickle.loads(reply)
+                except Exception:  # noqa: BLE001 - an exception pickle cannot carry
+                    stand_in = RuntimeError(f"{type(exc).__name__}: {exc}")
+                    reply = pickle.dumps((index, None, (stand_in, trace)))
+            outbox.write(reply)
+            outbox.flush()
+
+
 def episode_seeds(config: ExperimentConfig, cell_idx: int) -> list[int]:
     """The seeds of one cell's episodes, in replication order."""
     reps = config.replications
@@ -514,13 +625,10 @@ def run_batch(config: ExperimentConfig, *, threads: int | None = None) -> Aggreg
                 chunk = seeds[i : i + _EPISODES_PER_TASK]
                 tasks.append((inst, plan, algo, config.horizon, chunk, checkpoints, False))
 
-    if n_threads > 1 and len(tasks) > 1:
-        # Lockstep cells are the longest tasks, so the pool starts them first.
+    if n_threads > 1 and len(tasks) > 1 and hasattr(os, "fork"):
+        # Lockstep cells are the longest tasks, so the workers start them first.
         order = sorted(range(len(tasks)), key=lambda i: not tasks[i][-1])
-        done = [None] * len(tasks)
-        with ProcessPoolExecutor(max_workers=n_threads) as pool:
-            for i, rows in zip(order, pool.map(_cell_task, [tasks[i] for i in order])):
-                done[i] = rows
+        done = _run_forked(tasks, order, n_threads)
     else:
         done = [_cell_task(t) for t in tasks]
     results = [row for rows in done for row in rows]

@@ -2,7 +2,11 @@
 
 import importlib.util
 import json
+import os
 import pathlib
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -19,7 +23,8 @@ METRICS = {
 
 def runs_of(parent: list[float], change: list[float], metric: str = "wall_s") -> dict:
     def run(value):
-        return {"metrics": {metric: value}, "sha256": "same", "failed": 0, "correct": True}
+        return {"metrics": {metric: value}, "sha256": "same", "failed": 0, "correct": True,
+                "left_running": False}
 
     return {"parent": [run(v) for v in parent], "change": [run(v) for v in change]}
 
@@ -82,13 +87,15 @@ def test_summary_keeps_counts_and_bound():
     assert summary["same_csv_bytes_per_seed"] == 10
     assert summary["failed_operations"] == {"parent": 0, "change": 0}
     assert summary["all_correct"]
+    assert summary["runs_left_running"] == {"parent": 0, "change": 0}
 
 
 def test_bounds_come_from_benchmark_json():
     with open(TOOL.parents[1] / "BENCHMARK.json", encoding="utf-8") as fh:
         declared = {m["name"]: m for m in json.load(fh)["end_to_end"]}
     runs = {side: [{"metrics": {name: 1.0 for name in declared}, "sha256": "",
-                    "failed": 0, "correct": True}] * 4 for side in ("parent", "change")}
+                    "failed": 0, "correct": True, "left_running": False}] * 4
+            for side in ("parent", "change")}
     summary = bench_pairs.summarise(runs, declared)
     for name, spec in declared.items():
         assert summary[name]["bound"] == pytest.approx(spec["bound"])
@@ -135,3 +142,40 @@ def test_summarise_verify_counts_seeds_and_checks():
         "failures_by_check": {"decay": 2, "drift_leader_clean": 1},
     }
     assert summary["change"] == {"seeds": 3, "seeds_with_failure": 1, "failures_by_check": {}}
+
+
+# Exits at once and leaves a forked child, whose pid it prints, sleeping in its session.
+LEAVES_A_CHILD = """
+import os, time
+pid = os.fork()
+if pid == 0:
+    time.sleep(60)
+else:
+    print(pid)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork and process groups")
+class TestRunInSession:
+    def test_clean_run_leaves_nothing(self, tmp_path):
+        done, stray = bench_pairs.run_in_session([sys.executable, "-c", "print('hi')"],
+                                                 str(tmp_path))
+        assert (done.returncode, done.stdout, stray) == (0, "hi\n", False)
+
+    def test_outliving_child_is_reported_and_killed(self, tmp_path):
+        start = time.monotonic()
+        done, stray = bench_pairs.run_in_session([sys.executable, "-c", LEAVES_A_CHILD],
+                                                 str(tmp_path))
+        assert done.returncode == 0 and stray
+        assert time.monotonic() - start < 30  # the child's open stdout did not stall the wait
+        child = int(done.stdout)
+        deadline = time.monotonic() + 10
+        with pytest.raises(ProcessLookupError):
+            while time.monotonic() < deadline:
+                os.kill(child, 0)
+                time.sleep(0.05)
+
+    def test_left_running_is_false_for_an_empty_group(self):
+        proc = subprocess.Popen([sys.executable, "-c", "pass"], start_new_session=True)
+        proc.wait()
+        assert not bench_pairs.left_running(proc.pid)

@@ -1,8 +1,12 @@
 import argparse
+import contextlib
 import json
+import os
 import pathlib
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -503,6 +507,46 @@ class TestProcessLevel:
             text=True,
         )
         assert proc.returncode == 2
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked only where os.fork exists")
+    def test_sigterm_leaves_no_worker_running(self, tmp_path):
+        # About 5 s of work on two workers: four tasks of four 1e5-round episodes.
+        payload = {**BASE_CONFIG, "horizon": 100_000, "replications": 8,
+                   "algorithms": [{"algorithm": "samba", "params": {"alpha": 0.05}},
+                                  {"algorithm": "tsallis_inf"}],
+                   "corruption": {"schemes": ["none"], "budgets": [0]}}
+        cfg = write_config(tmp_path, payload)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "banditlab.cli", "run", "--config", cfg,
+             "--out", str(tmp_path / "o"), "--threads", "2"],
+            start_new_session=True,
+        )
+        pgid = proc.pid
+        try:
+            children = pathlib.Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline and proc.poll() is None:
+                if not children.exists():  # no /proc: give the workers time to start
+                    time.sleep(2)
+                    break
+                if len(children.read_text().split()) == 2:
+                    break
+                time.sleep(0.05)
+            assert proc.poll() is None, "the run ended before it could be stopped"
+            proc.terminate()
+            proc.wait(timeout=10)
+            deadline = time.monotonic() + 10
+            while True:
+                try:
+                    os.killpg(pgid, 0)
+                except ProcessLookupError:
+                    break
+                assert time.monotonic() < deadline, "a worker outlived the stopped run"
+                time.sleep(0.05)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(pgid, signal.SIGKILL)
+            proc.wait()
 
     def test_help_exits_zero(self):
         proc = subprocess.run(

@@ -1,3 +1,9 @@
+import os
+import pathlib
+import re
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -477,6 +483,78 @@ class TestResolveThreads:
     def test_default_positive(self, monkeypatch):
         monkeypatch.delenv("BANDITLAB_THREADS", raising=False)
         assert resolve_threads(None) >= 1
+
+
+class TaskFailed(Exception):
+    pass
+
+
+def fail_on_second_chunk(task):
+    if task[4][0] == split_seed(99, 4):  # the first cell's second chunk of 4 episodes
+        raise TaskFailed("chunk 2 failed")
+    return CELL_TASK(task)
+
+
+CELL_TASK = engine._cell_task
+
+# Run in a fresh interpreter: a worker that dies mid-task must not hang run_batch.
+DYING_WORKER = """
+import os, sys
+from banditlab import engine
+from banditlab.engine import AlgorithmSpec, ExperimentConfig, InstanceSpec, PlanSpec
+
+cell_task = engine._cell_task
+def die_on_third(task):
+    if task[4][0] == engine.split_seed(99, 8):
+        os._exit(7)
+    return cell_task(task)
+engine._cell_task = die_on_third
+cfg = ExperimentConfig(
+    instances=(InstanceSpec(means=(0.2, 0.5, 0.9)),), plans=(PlanSpec(),),
+    algorithms=(AlgorithmSpec.of("samba", {"alpha": 0.05}),),
+    horizon=500, replications=12, master_seed=99,
+)
+try:
+    engine.run_batch(cfg, threads=2)
+except RuntimeError as exc:
+    print(exc)
+try:
+    os.waitpid(-1, os.WNOHANG)
+    print("a child is left")
+except ChildProcessError:
+    print("no child left")
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked only where os.fork exists")
+class TestForkedWorkers:
+    def test_task_exception_keeps_its_type_and_leaves_no_child(self, monkeypatch):
+        monkeypatch.setattr(engine, "_cell_task", fail_on_second_chunk)
+        with pytest.raises(TaskFailed, match="chunk 2 failed") as info:
+            run_batch(small_config(replications=12), threads=2)
+        assert "fail_on_second_chunk" in str(info.value.__cause__)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_worker_that_dies_mid_task_raises_instead_of_hanging(self):
+        src = str(pathlib.Path(engine.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run(
+            [sys.executable, "-c", DYING_WORKER],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        died, left = proc.stdout.splitlines()
+        assert re.fullmatch(r"worker process \d+ exited during task 2 without returning it", died)
+        assert left == "no child left"
+
+    def test_more_workers_than_tasks(self):
+        cfg = small_config(replications=4)  # two tasks
+        a = run_batch(cfg, threads=1)
+        b = run_batch(cfg, threads=8)
+        assert [c.curve for c in a.cells] == [c.curve for c in b.cells]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestBenchRuntime:

@@ -36,6 +36,9 @@ each call's exit code, wall time and failing checks, and per tree the count
 of seeds with any failure and of failures per check.
 
 Runs are sequential and use at most the workers the benchmark itself starts.
+Each run starts in a session of its own, and its record's ``left_running``
+says whether any process of that session outlived it (such processes are
+killed); each workload summary counts those runs per tree.
 Relative paths are taken from the current directory. The record names each
 tree by its git commit (marked when it has uncommitted changes) and each
 digest config by its file name, never by a path.
@@ -44,11 +47,13 @@ digest config by its file name, never by a path.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
 import platform
 import re
+import signal
 import statistics
 import subprocess
 import sys
@@ -122,14 +127,45 @@ def _quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
+def left_running(pgid: int) -> bool:
+    """Whether any process of group ``pgid`` is still alive; if so, kill the group."""
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return False
+    with contextlib.suppress(ProcessLookupError):
+        os.killpg(pgid, signal.SIGKILL)
+    return True
+
+
+def run_in_session(cmd: list[str], tree: str) -> tuple[subprocess.CompletedProcess, bool]:
+    """Run ``cmd`` at the root of ``tree`` in a session of its own, and whether
+    any process of that session outlived it (see ``left_running``).
+
+    Output goes to files, not pipes, so a process left holding them cannot
+    stall the wait.
+    """
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen(cmd, cwd=tree, env=_env(tree), stdout=out, stderr=err,
+                                start_new_session=True)
+        proc.wait()
+        stray = left_running(proc.pid)
+        out.seek(0)
+        err.seek(0)
+        done = subprocess.CompletedProcess(cmd, proc.returncode, out.read().decode(),
+                                           err.read().decode())
+    return done, stray
+
+
 def bench_run(tree: str, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "benchmark/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(cmd, cwd=tree, env=_env(tree), check=True,
-                         capture_output=True, text=True).stdout
-    header, result = (json.loads(line) for line in out.strip().splitlines()[-2:])
+    done, stray = run_in_session(cmd, tree)
+    done.check_returncode()
+    header, result = (json.loads(line) for line in done.stdout.strip().splitlines()[-2:])
     return {
         "seed": seed,
+        "left_running": stray,
         "samples": header["info"]["samples"],
         "sha256": header["info"]["sha256"],
         **{key: result[key] for key in ("correct", "attempted", "failed")},
@@ -173,6 +209,9 @@ def summarise(runs: dict, metrics: dict) -> dict:
     )
     summary["failed_operations"] = {side: sum(r["failed"] for r in runs[side]) for side in SIDES}
     summary["all_correct"] = all(r["correct"] for side in SIDES for r in runs[side])
+    summary["runs_left_running"] = {
+        side: sum(r["left_running"] for r in runs[side]) for side in SIDES
+    }
     return summary
 
 
@@ -181,9 +220,9 @@ def digest_run(tree: str, config: str, threads: int) -> dict:
         cmd = [sys.executable, "-m", "banditlab.cli", "sweep", "--config", config,
                "--out", out, "--threads", str(threads)]
         start = time.perf_counter()
-        done = subprocess.run(cmd, cwd=tree, env=_env(tree), capture_output=True, text=True)
+        done, stray = run_in_session(cmd, tree)
         wall = time.perf_counter() - start
-        record = {"exit": done.returncode, "wall_s": wall}
+        record = {"exit": done.returncode, "wall_s": wall, "left_running": stray}
         for name in ("results.csv", "curves.csv"):
             path = os.path.join(out, name)
             if os.path.exists(path):
@@ -200,10 +239,10 @@ def failing_checks(stdout: str) -> list[str]:
 def verify_run(tree: str, seed: int) -> dict:
     cmd = [sys.executable, "-m", "banditlab.cli", "verify", "--fast", "--seed", str(seed)]
     start = time.perf_counter()
-    done = subprocess.run(cmd, cwd=tree, env=_env(tree), capture_output=True, text=True)
+    done, stray = run_in_session(cmd, tree)
     wall = time.perf_counter() - start
     return {"seed": seed, "exit": done.returncode, "wall_s": wall,
-            "failing": failing_checks(done.stdout)}
+            "failing": failing_checks(done.stdout), "left_running": stray}
 
 
 def summarise_verify(runs: dict) -> dict:
@@ -224,7 +263,7 @@ def tier1_run(tree: str) -> dict:
     cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
            "--durations=0", "-rA", "-p", "no:cacheprovider"]
     start = time.perf_counter()
-    done = subprocess.run(cmd, cwd=tree, env=_env(tree), capture_output=True, text=True)
+    done, stray = run_in_session(cmd, tree)
     wall = time.perf_counter() - start
     text = done.stdout
     # -rA adds every test's captured output, so the counts come from the last line only.
@@ -238,6 +277,7 @@ def tier1_run(tree: str) -> dict:
     return {
         "wall_s": wall,
         "exit": done.returncode,
+        "left_running": stray,
         **counts,
         "failing": re.findall(r"^FAILED (\S+)", text, re.MULTILINE),
         "test_call_s_at_least_1s": calls,
@@ -247,18 +287,21 @@ def tier1_run(tree: str) -> dict:
 
 def probe(trees: dict, workload: str, seed: int) -> dict:
     readings = {side: {} for side in SIDES}
+    strays = {side: 0 for side in SIDES}
     for i in range(PROBE_REPEATS):
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
             for what in ("1", "2", "adversary"):
                 cmd = [sys.executable, "-c", PROBE, workload, str(seed), what]
-                out = subprocess.run(cmd, cwd=trees[side], env=_env(trees[side]), check=True,
-                                     capture_output=True, text=True).stdout
-                for name, value in json.loads(out).items():
+                done, stray = run_in_session(cmd, trees[side])
+                done.check_returncode()
+                strays[side] += stray
+                for name, value in json.loads(done.stdout).items():
                     key = name if what == "adversary" else f"{name} threads={what}"
                     readings[side].setdefault(key, []).append(value)
     medians = {side: {key: statistics.median(values) for key, values in readings[side].items()}
                for side in SIDES}
-    return {"workload": workload, "seed": seed, "medians": medians, "readings": readings}
+    return {"workload": workload, "seed": seed, "medians": medians, "readings": readings,
+            "runs_left_running": strays}
 
 
 def main(argv=None) -> int:
