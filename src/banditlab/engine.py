@@ -21,6 +21,14 @@ tsallis_inf) together as numpy columns, each bit-identical to its own
 a few episodes per task; either way results are reduced by replication
 index, so neither the path nor the worker count changes a byte. On every
 path, an episode's streams, spend and means table come from :func:`_episode_setup`.
+
+With more than one worker and task, and where ``os.fork`` exists,
+:func:`_run_forked` runs the tasks on forked worker processes: the parent
+loads ``numpy.random`` once, forks, and hands task indexes over one pipe per
+worker, lockstep tasks first, to whichever worker replies next; the tasks
+themselves are inherited, and only replies are pickled. A worker whose
+parent dies exits after its current task. Elsewhere the tasks run
+in-process.
 """
 
 from __future__ import annotations
@@ -529,7 +537,7 @@ def _run_forked(tasks: list, order: list[int], workers: int) -> list:
                     pid, replies = key.data
                     try:
                         index, rows, error = pickle.load(replies)
-                    except Exception:
+                    except (EOFError, pickle.UnpicklingError):  # a reply cut short
                         raise RuntimeError(
                             f"worker process {pid} exited during task {running[pid]} "
                             "without returning it"

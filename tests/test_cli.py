@@ -256,6 +256,14 @@ class TestRun:
         cfg = write_config(tmp_path, payload)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    def test_budget_exceeding_capacity_in_a_worker_exit_2(self, tmp_path):
+        # Two tasks of four episodes, so at two workers the error is raised in a worker.
+        payload = {**BASE_CONFIG, "horizon": 100, "replications": 8,
+                   "corruption": {"scheme": "consecutive", "budget": 200}}
+        cfg = write_config(tmp_path, payload)
+        argv = ["run", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "2"]
+        assert main(argv) == 2
+
     def test_k_grid_requires_sweep(self, tmp_path):
         payload = {**BASE_CONFIG, "instance": {"k": [4, 6], "means": "uniform"}}
         cfg = write_config(tmp_path, payload)

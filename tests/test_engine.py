@@ -489,13 +489,13 @@ class TaskFailed(Exception):
     pass
 
 
+CELL_TASK = engine._cell_task
+
+
 def fail_on_second_chunk(task):
     if task[4][0] == split_seed(99, 4):  # the first cell's second chunk of 4 episodes
         raise TaskFailed("chunk 2 failed")
     return CELL_TASK(task)
-
-
-CELL_TASK = engine._cell_task
 
 # Run in a fresh interpreter: a worker that dies mid-task must not hang run_batch.
 DYING_WORKER = """

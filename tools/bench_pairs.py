@@ -41,7 +41,7 @@ says whether any process of that session outlived it (such processes are
 killed); each workload summary counts those runs per tree.
 Relative paths are taken from the current directory. The record names each
 tree by its git commit (marked when it has uncommitted changes) and each
-digest config by its file name, never by a path.
+digest config and the output by its file name, never by a path.
 """
 
 from __future__ import annotations
@@ -328,7 +328,7 @@ def main(argv=None) -> int:
     import numpy
 
     names = {args.parent: "<parent tree>", args.change: "<change tree>"}
-    names.update((config, os.path.basename(config)) for config in args.digest)
+    names.update((path, os.path.basename(path)) for path in [*args.digest, args.out])
     record = {
         "title": args.title,
         "notes": args.note,
