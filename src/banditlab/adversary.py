@@ -9,9 +9,8 @@ hard each scheduled round is hit is capped by ``per_step_cost`` and by
 whatever budget remains. An episode's whole corruption is therefore fixed by
 the instance, the plan, the per-step cost and the adversary stream, and the
 engine resolves it with :func:`resolve_corruption_runs` before round 0, as
-runs of rounds that share one corrupted vector; :func:`resolve_corruption`
-gives the same as a per-round table, and :func:`apply_corruption` is the
-same arithmetic one round at a time.
+runs of rounds that share one corrupted vector; :func:`apply_corruption` is
+the same arithmetic one round at a time.
 
 Schedules and the rounds of a run are read-only sequences of ints: a
 ``range`` for the arithmetic schemes (``consecutive``, ``even_steps``,
@@ -272,36 +271,21 @@ def apply_corruption(
     return runs[0][1:] if runs else (instance.means, 0.0)
 
 
-def resolve_corruption(
+def resolve_corruption_runs(
     instance: BanditInstance, ledger: CorruptionLedger
-) -> dict[int, tuple[tuple[float, ...], float]]:
-    """``{round: (corrupted means, realized cost)}`` for every round the budget reaches.
+) -> list[tuple[Sequence[int], tuple[float, ...], float]]:
+    """Runs ``(rounds, corrupted means, cost)`` covering every round the budget reaches.
 
     Equivalent to calling :func:`apply_corruption` on every round in order
     (the schedule from :func:`make_ledger` is ascending and distinct), and
     leaves ``ledger.spent`` where those calls would: the same shifts,
-    clipping, costs and sequential spend. Rounds missing from the result are
-    clean (true means, zero cost). Returned vectors are shared and must be
-    treated as read-only.
-    """
-    return {
-        t: (means, cost)
-        for rounds, means, cost in resolve_corruption_runs(instance, ledger)
-        for t in rounds
-    }
-
-
-def resolve_corruption_runs(
-    instance: BanditInstance, ledger: CorruptionLedger
-) -> list[tuple[Sequence[int], tuple[float, ...], float]]:
-    """:func:`resolve_corruption` as runs ``(rounds, corrupted means, cost)``.
-
-    The rounds of a run share one corrupted vector and one per-round cost;
-    runs are in round order, and together they cover exactly the rounds
-    :func:`resolve_corruption` returns. A run's rounds are a read-only slice
-    of the schedule: a ``range`` when the schedule is one (so the full-shift
-    run of an arithmetic scheme is one object however long), a tuple
-    otherwise. This compact form lets the engine fill its per-round tables a
-    run at a time.
+    clipping, costs and sequential spend. Rounds in no run are clean (true
+    means, zero cost). The rounds of a run share one corrupted vector and
+    one per-round cost, and runs are in round order; returned vectors are
+    shared and must be treated as read-only. A run's rounds are a read-only
+    slice of the schedule: a ``range`` when the schedule is one (so the
+    full-shift run of an arithmetic scheme is one object however long), a
+    tuple otherwise. This compact form lets the engine fill its per-round
+    tables a run at a time.
     """
     return _charge(instance, ledger, ledger.schedule)

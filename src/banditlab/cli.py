@@ -38,8 +38,8 @@ from .engine import (
     resolve_threads,
     run_batch,
 )
-from .samba import samba_update
-from .verify import SuiteSizes, run_verification_suite, tampered_update
+from .samba import SambaLockstep
+from .verify import SuiteSizes, TamperedLockstep, run_verification_suite
 
 RESULTS_COLUMNS = "algorithm,scheme,corruption_level,K,mean_regret,sd_regret,replications,seed"
 CURVES_COLUMNS = "algorithm,scheme,corruption_level,t,mean_regret,sd_regret"
@@ -381,7 +381,7 @@ def _cmd_verify(args) -> int:
         raise ConfigError("'alpha' must lie in (0, 1)")
     seed = _master_seed(cfg, args, 2024)
     sizes = SuiteSizes.fast() if args.fast else SuiteSizes()
-    update_fn = tampered_update if args.tamper_update else samba_update
+    kernel = TamperedLockstep if args.tamper_update else SambaLockstep
 
     fit_config = ExperimentConfig(
         instances=(InstanceSpec(means=instance.means),),
@@ -399,7 +399,7 @@ def _cmd_verify(args) -> int:
         float(alpha),
         sizes=sizes,
         seed=seed,
-        update_fn=update_fn,
+        kernel=kernel,
         log_curve=log_curve,
     )
     failures = [o for o in outcomes if not o.passed]

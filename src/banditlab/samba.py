@@ -183,6 +183,7 @@ class SambaLockstep:
 
     def __init__(self, p: np.ndarray, alpha: float):
         self.alpha = alpha
+        self.growth = 1.0 + alpha  # a rewarded non-leader's factor
         self.p = p
         self.cols = np.arange(p.shape[1])
         self.clamp_events = [0] * p.shape[1]
@@ -208,7 +209,7 @@ class SambaLockstep:
         lead = p.argmax(axis=0)
         # A leader pull shrinks every coordinate; any other pull grows its own.
         new = np.where(arms == lead, p - alpha * p * p / p[lead, cols], p)
-        new[arms, cols] = p[arms, cols] * (1.0 + alpha)
+        new[arms, cols] = p[arms, cols] * self.growth
         new[lead, cols] = 0.0
         new[lead, cols] = 1.0 - ordered_column_sums(new)
         np.copyto(p, new, where=rewards)

@@ -4,11 +4,12 @@ Every check here measures the real update rule by Monte Carlo and compares
 against an independently computed quantity: a closed-form branch enumeration
 for one-step drifts, an exhaustive outcome-tree expectation for small
 instances, optional-stopping recovery bounds, and the embedded-chain decay
-envelope. The drift checks run ``samba_update`` or a caller-supplied
-substitute (how ``--tamper-update`` forces red; it reaches no other check).
-The recovery, decay and oracle checks run the batched
-:class:`~banditlab.samba.SambaLockstep`, bit-identical per replication to
-``samba_update``.
+envelope. The drift checks play a state's 2K one-step outcomes, and the
+recovery, decay and oracle checks their replications, as the columns of the
+batched :class:`~banditlab.samba.SambaLockstep`, bit-identical per column to
+``samba_update``. The drift checks take the kernel class:
+:class:`TamperedLockstep` (the hidden ``--tamper-update`` flag) is a
+deliberately broken one that turns them red; it reaches no other check.
 """
 
 from __future__ import annotations
@@ -267,25 +268,26 @@ _MC_CHUNK = 1 << 16  # samples drawn per numpy pass in _mc_one_step
 def _mc_one_step(
     state: SambaState,
     means: Sequence[float],
-    metric: Callable[[SambaState], float],
+    metric: Callable[[Sequence[float]], float],
     samples: int,
     rng: np.random.Generator,
-    update_fn: Callable,
+    kernel: type[SambaLockstep],
 ) -> tuple[float, float]:
-    """Mean and 3-sigma CI half-width of metric(next) - metric(state).
+    """Mean and 3-sigma CI half-width of metric(next p) - metric(p).
 
     Each sample draws an arm as ``samba_select`` does and then its reward,
     from one interleaved stream. From the fixed state there are only 2K
-    (arm, reward) outcomes, so ``update_fn`` and ``metric`` run once per
-    outcome; the samples are drawn in chunks, mapped to their outcomes
-    through the state's sequential cumsum, and d and d^2 are summed in
-    sample order with cumsums, as the one-sample-at-a-time loop summed them.
+    (arm, reward) outcomes, so one ``kernel`` update plays them all, outcome
+    (a, r) as column 2a + r, and ``metric`` runs once per column; the
+    samples are drawn in chunks, mapped to their outcomes through the
+    state's sequential cumsum, and d and d^2 are summed in sample order with
+    cumsums, as the one-sample-at-a-time loop summed them.
     """
-    base = metric(state)
+    base = metric(state.p)
     k = len(state.p)
-    d_of = np.array(
-        [metric(update_fn(state.copy(), arm, reward)) - base for arm in range(k) for reward in (0, 1)]
-    )
+    kern = kernel(np.repeat(np.asarray(state.p)[:, None], 2 * k, axis=1), state.alpha)
+    kern.update(np.arange(2 * k) // 2, np.arange(2 * k) % 2 == 1)
+    d_of = np.array([metric(p) - base for p in kern.p.T])
     acc = np.cumsum(state.p[:-1])  # samba_select picks the first arm with u < acc
     means = np.asarray(means, dtype=float)
     total = 0.0
@@ -304,11 +306,11 @@ def _mc_one_step(
 
 def _drift_report(
     check: str, state: SambaState, a_star: int, means: Sequence[float],
-    metric: Callable[[SambaState], float], exact: float, bound: float,
-    cost: float, samples: int, rng: np.random.Generator, update_fn: Callable,
+    metric: Callable[[Sequence[float]], float], exact: float, bound: float,
+    cost: float, samples: int, rng: np.random.Generator, kernel: type[SambaLockstep],
 ) -> DriftReport:
     """The Monte-Carlo one-step drift of ``metric`` from ``state``, judged against ``bound``."""
-    mean, ci = _mc_one_step(state, means, metric, samples, rng, update_fn)
+    mean, ci = _mc_one_step(state, means, metric, samples, rng, kernel)
     return DriftReport(
         check=check,
         mean_drift=mean,
@@ -331,7 +333,7 @@ def check_drift_nonleader(
     samples: int = 1_000_000,
     rng: np.random.Generator | None = None,
     state_prep: Callable[[np.random.Generator], SambaState] | None = None,
-    update_fn: Callable = samba_update,
+    kernel: type[SambaLockstep] = SambaLockstep,
 ) -> DriftReport:
     """Measured drift of 1/p* in a suppressed state vs the analysis bound.
 
@@ -349,8 +351,8 @@ def check_drift_nonleader(
     means = _worst_case_means_nonleader(instance, state.leader, cost)
     bound = -consts.xi + alpha * cost * (1.0 + consts.epsilon + 1.0 / (1.0 + alpha))
     return _drift_report(
-        "drift_nonleader", state, a_star, means, lambda s: 1.0 / s.p[a_star],
-        exact_nonleader_drift(state, means, a_star), bound, cost, samples, rng, update_fn,
+        "drift_nonleader", state, a_star, means, lambda p: 1.0 / p[a_star],
+        exact_nonleader_drift(state, means, a_star), bound, cost, samples, rng, kernel,
     )
 
 
@@ -362,7 +364,7 @@ def check_drift_leader(
     samples: int = 1_000_000,
     rng: np.random.Generator | None = None,
     state_prep: Callable[[np.random.Generator], SambaState] | None = None,
-    update_fn: Callable = samba_update,
+    kernel: type[SambaLockstep] = SambaLockstep,
 ) -> DriftReport:
     """Measured drift of q = 1 - p* once the best arm leads, vs the K-diluted bound.
 
@@ -379,30 +381,24 @@ def check_drift_leader(
     q0 = 1.0 - state.p[a_star]
     bound = alpha * (2.0 * cost - consts.gap) * q0 * q0 / instance.k
     return _drift_report(
-        "drift_leader", state, a_star, means, lambda s: 1.0 - s.p[a_star],
-        exact_leader_qdrift(state, means, a_star), bound, cost, samples, rng, update_fn,
+        "drift_leader", state, a_star, means, lambda p: 1.0 - p[a_star],
+        exact_leader_qdrift(state, means, a_star), bound, cost, samples, rng, kernel,
     )
 
 
-def tampered_update(state: SambaState, pulled: int, reward: int) -> SambaState:
-    """Deliberately broken update rule so the drift checks can be shown to fail.
+class TamperedLockstep(SambaLockstep):
+    """Deliberately broken kernel so the drift checks can be shown to fail.
 
-    samba_update except that a rewarded non-leader pull *shrinks* by the
+    SambaLockstep except that a rewarded non-leader pull *shrinks* by the
     factor (1 - alpha) instead of growing by (1 + alpha): mass drains toward
     whoever currently leads, so in a suppressed-best-arm state 1/p* drifts
     upward and the non-leader checks go red. Wired to the CLI's hidden
     ``--tamper-update`` flag.
     """
-    if reward == 0 or pulled == state.leader:
-        return samba_update(state, pulled, reward)
-    # The non-leader branch multiplies by 1.0 + alpha, which is exactly
-    # 1.0 - alpha when the step size is negated for this one call.
-    alpha = state.alpha
-    state.alpha = -alpha
-    try:
-        return samba_update(state, pulled, reward)
-    finally:
-        state.alpha = alpha
+
+    def __init__(self, p: np.ndarray, alpha: float):
+        super().__init__(p, alpha)
+        self.growth = 1.0 - alpha
 
 
 # ---------------------------------------------------------------------------
@@ -778,7 +774,7 @@ def run_verification_suite(
     *,
     sizes: SuiteSizes | None = None,
     seed: int = 2024,
-    update_fn: Callable = samba_update,
+    kernel: type[SambaLockstep] = SambaLockstep,
     log_curve: Sequence[tuple[int, float]] | None = None,
 ) -> list[CheckOutcome]:
     """Run every analysis check; the caller supplies the clean regret curve
@@ -809,7 +805,7 @@ def run_verification_suite(
             cost=cost,
             samples=sizes.drift_samples,
             rng=make_stream(seed + i),
-            update_fn=update_fn,
+            kernel=kernel,
         )
         outcomes.append(
             CheckOutcome(

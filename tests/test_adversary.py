@@ -12,7 +12,6 @@ from banditlab.adversary import (
     build_schedule,
     default_per_step_cost,
     make_ledger,
-    resolve_corruption,
     resolve_corruption_runs,
 )
 from banditlab.core import make_instance
@@ -284,13 +283,17 @@ class TestChargeMatchesScalarLoop:
     def _check_resolve(self, instance, plan, per_step_cost):
         led, ref = self._ledgers(instance, plan, per_step_cost)
         want = reference_charge(instance, ref, ref.schedule)
-        assert bits(resolve_corruption(instance, led)) == bits(want)
+        runs = resolve_corruption_runs(instance, led)
+        per_round = {t: (means, cost) for rounds, means, cost in runs for t in rounds}
+        assert bits(per_round) == bits(want)
         assert led.spent.hex() == ref.spent.hex()
         # The runs cover the same rounds in order, one shared vector each.
-        led, _ = self._ledgers(instance, plan, per_step_cost)
-        runs = resolve_corruption_runs(instance, led)
         flat = [t for rounds, _, _ in runs for t in rounds]
         assert flat == list(want)
+        # The apply_corruption loop over the schedule charges the same rounds.
+        led, _ = self._ledgers(instance, plan, per_step_cost)
+        loop = {t: hit for t in led.schedule if (hit := apply_corruption(instance, led, t))[1]}
+        assert bits(loop) == bits(want)
         assert led.spent.hex() == ref.spent.hex()
         return want
 

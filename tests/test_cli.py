@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import json
 import os
 import pathlib
@@ -11,7 +12,7 @@ import time
 import pytest
 
 from banditlab.cli import _load_json, _parse_experiment, _parse_instances, main
-from banditlab.engine import InstanceSpec, split_seed
+from banditlab.engine import LOCKSTEP_MIN_REPLICATIONS, InstanceSpec, split_seed
 
 BASE_CONFIG = {
     "schema_version": 1,
@@ -317,6 +318,73 @@ class TestReproducibility:
         assert hash_a != hash_b
 
 
+# Small grids whose outputs are pinned by digest. "lockstep" plays samba and
+# tsallis_inf as lockstep columns (R >= 32, T past one 1024-round window),
+# fs_aae round by round and barbar/cbarbar in committed blocks, under every
+# config scheme; "per_round" plays samba and tsallis_inf round by round.
+GOLDEN_CONFIGS = {
+    "lockstep": {
+        "schema_version": 1,
+        "horizon": 1200,
+        "replications": 32,
+        "master_seed": 1717,
+        "instance": {"k": [2, 6], "means": "uniform"},
+        "algorithms": [
+            {"algorithm": "samba", "params": {"alpha": 0.05}},
+            {"algorithm": "tsallis_inf"},
+            {"algorithm": "fs_aae"},
+            {"algorithm": "barbar"},
+            {"algorithm": "cbarbar"},
+        ],
+        "corruption": {
+            "schemes": ["none", "consecutive", "even_steps", "delayed_block", "random_early"],
+            "budgets": [3],
+        },
+    },
+    "per_round": {
+        "schema_version": 1,
+        "horizon": 400,
+        "replications": 4,
+        "master_seed": 1718,
+        "instance": {"means": [0.1, 0.3, 0.5, 0.7, 0.8, 0.9]},
+        "algorithms": [{"algorithm": "samba", "params": {"alpha": 0.1}}, {"algorithm": "tsallis_inf"}],
+        "corruption": {
+            "schemes": ["none", "consecutive", "random_early"],
+            "budgets": [0, 12],
+            "strategy": "swap_extremes",
+        },
+    },
+}
+# SHA-256 of (results.csv, curves.csv). A change that moves them on purpose
+# updates them and says why in CHANGES.md.
+GOLDEN_DIGESTS = {
+    "lockstep": (
+        "a35fcbc51c9b2fb3284e5ca7ef80e581852b5622ba20af5526c1c9f4e7df0ed5",
+        "7f4d83a4d0e8998c2e30c4ed156579393614998147676e0e8091c6da69939098",
+    ),
+    "per_round": (
+        "a7800c8b9c50dec35a9746999e45d38628b25cc35c3548e3a23afe6d210ed23d",
+        "9ee90bb28a2caa54512f60446367bb42daa4002954347a3159a8290da55b1fc0",
+    ),
+}
+
+
+class TestGoldenDigests:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("name", list(GOLDEN_CONFIGS))
+    def test_outputs_match_digests(self, tmp_path, name, threads):
+        cfg = GOLDEN_CONFIGS[name]
+        lockstep = cfg["replications"] >= LOCKSTEP_MIN_REPLICATIONS
+        assert lockstep == (name == "lockstep")
+        out = tmp_path / "out"
+        argv = ["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out)]
+        assert main(argv + ["--threads", threads]) == 0
+        digests = tuple(
+            hashlib.sha256((out / f).read_bytes()).hexdigest() for f in ("results.csv", "curves.csv")
+        )
+        assert digests == GOLDEN_DIGESTS[name]
+
+
 class TestSweep:
     def test_k_grid(self, tmp_path):
         payload = {
@@ -404,6 +472,39 @@ class TestBench:
         assert main(["bench", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
 
+# What `verify --fast` prints at master seed 2024, line for line. A change
+# that moves these lines on purpose updates them and says why in CHANGES.md.
+VERIFY_CONSTANTS_LINE = (
+    "constants                    PASS  alpha=0.05 vs bound=0.125, epsilon=0.0357143, "
+    "xi=0.00142857, zeta=0.0143713"
+)
+VERIFY_UNTAMPERED_LINES = (  # the checks the tamper does not reach
+    "recovery                     PASS  mean=5.53 +/- 8.06 rounds vs bound=36.0 (979 reps)",
+    "decay                        PASS  s=100: 0.4154<= 0.4932+0.0197, "
+    "s=1000: 0.2157<= 0.4390+0.0161, s=5000: 0.0742<= 0.2951+0.0054",
+    "oracle_mc                    PASS  mc=1.50664 +/- 0.00651 vs exact=1.50442",
+    "log_fit                      PASS  slope=149.8 (cap 1800), rss ln=133 vs ln^2=1.45e+03",
+)
+VERIFY_CLEAN_LINES = [
+    VERIFY_CONSTANTS_LINE,
+    "drift_nonleader_clean        PASS  drift=-1.282e-02 +/- 5.5e-04 vs bound=-1.429e-03 (exact -1.271e-02)",
+    "drift_nonleader_corrupted    PASS  drift=-1.533e-03 +/- 5.1e-04 vs bound=-1.860e-04 (exact -1.435e-03)",
+    "drift_leader_clean           PASS  drift=-3.999e-04 +/- 1.8e-05 vs bound=-8.726e-05 (exact -3.974e-04)",
+    "drift_leader_corrupted       PASS  drift=-2.685e-04 +/- 8.5e-06 vs bound=-6.648e-05 (exact -2.696e-04)",
+    *VERIFY_UNTAMPERED_LINES,
+    "all 9 checks passed",
+]
+VERIFY_TAMPERED_LINES = [
+    VERIFY_CONSTANTS_LINE,
+    "drift_nonleader_clean        FAIL  drift=7.750e-02 +/- 5.8e-04 vs bound=-1.429e-03 (exact -1.271e-02)",
+    "drift_nonleader_corrupted    FAIL  drift=8.770e-02 +/- 5.2e-04 vs bound=-1.860e-04 (exact -1.435e-03)",
+    "drift_leader_clean           PASS  drift=-6.018e-03 +/- 1.0e-05 vs bound=-8.726e-05 (exact -3.974e-04)",
+    "drift_leader_corrupted       PASS  drift=-2.914e-03 +/- 4.9e-06 vs bound=-6.648e-05 (exact -2.696e-04)",
+    *VERIFY_UNTAMPERED_LINES,
+    "2 of 9 checks failed",
+]
+
+
 class TestVerifyCommand:
     # full-size verification runs in the acceptance gate; --fast keeps the
     # command-level plumbing checks quick
@@ -419,17 +520,14 @@ class TestVerifyCommand:
         code = main(["verify", "--config", cfg, "--fast"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "all 9 checks passed" in out
-        assert "drift_nonleader_clean" in out
+        assert out.splitlines() == VERIFY_CLEAN_LINES
 
     def test_tampered_update_exit_1_names_drift(self, tmp_path, capsys):
         cfg = write_config(tmp_path, self.CONFIG)
         code = main(["verify", "--config", cfg, "--fast", "--tamper-update"])
         out = capsys.readouterr().out
         assert code == 1
-        failing = [line for line in out.splitlines() if "FAIL" in line]
-        assert failing
-        assert any("drift_nonleader" in line for line in failing)
+        assert out.splitlines() == VERIFY_TAMPERED_LINES
 
     def test_bad_alpha_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, {**self.CONFIG, "alpha": 1.5})

@@ -14,7 +14,6 @@ from banditlab.adversary import (
     CorruptionPlan,
     apply_corruption,
     make_ledger,
-    resolve_corruption,
     resolve_corruption_runs,
 )
 from banditlab.baselines import make_policy
@@ -285,7 +284,8 @@ class TestResolvedCorruptionMatchesPerRoundLoop:
 
                 adv_rng = make_stream(split_seed(seed, _ADVERSARY))
                 ledger = make_ledger(instance, plan, per_step_cost, adv_rng)
-                assert resolve_corruption(instance, ledger) == per_round
+                runs = resolve_corruption_runs(instance, ledger)
+                assert {t: (m, c) for rounds, m, c in runs for t in rounds} == per_round
                 assert ledger.spent == spent
                 if scheme != "none":
                     assert spent > 0

@@ -11,10 +11,11 @@ from banditlab.samba import (
     samba_from_probabilities,
     samba_init,
     samba_leader,
+    samba_pick,
     samba_select,
     samba_update,
 )
-from banditlab.verify import tampered_update
+from banditlab.verify import TamperedLockstep
 
 
 def rng(seed=0):
@@ -286,7 +287,11 @@ def ref_update(state, pulled, reward):
 
 
 def ref_tampered(state, pulled, reward):
-    """verify.tampered_update over the reference step."""
+    """The reference step with a rewarded non-leader pull scaled by 1 - alpha.
+
+    Negating the step size turns the non-leader factor 1.0 + alpha into
+    1.0 - alpha exactly; the leader branch is left as it is.
+    """
     if reward == 0 or pulled == state.leader:
         return ref_update(state, pulled, reward)
     alpha = state.alpha
@@ -301,8 +306,8 @@ def bits(state):
     return [x.hex() for x in state.p], state.leader, state.clamp_events
 
 
-def play_both(state, steps, r, update=samba_update, reference=ref_update, means=None):
-    """Play ``state`` and a copy under ``update`` and ``reference`` on one draw stream.
+def play_both(state, steps, r, means=None):
+    """Play ``state`` and a copy under ``samba_update`` and ``ref_update`` on one draw stream.
 
     Arms come from ``samba_select`` on the state, rewards from ``means`` (a
     fair coin when None); both states must agree after every step.
@@ -311,10 +316,40 @@ def play_both(state, steps, r, update=samba_update, reference=ref_update, means=
     for _ in range(steps):
         arm = samba_select(state, r)
         reward = int(r.random() < (0.5 if means is None else means[arm]))
-        update(state, arm, reward)
-        reference(ref, arm, reward)
+        samba_update(state, arm, reward)
+        ref_update(ref, arm, reward)
         assert bits(state) == bits(ref)
     return state
+
+
+def play_columns(kernel, starts, alpha, steps, r, reference):
+    """Play each start as one column of ``kernel`` and alone under ``reference``.
+
+    One draw stream gives every round's arm uniforms and fair-coin rewards;
+    after every step each column must pick its state's arm and equal its
+    state (floats by hex, leader, clamp count). Returns the states.
+    """
+    kern = kernel(np.array(starts, dtype=float).T.copy(), alpha)
+    states = [samba_from_probabilities(p, alpha) for p in starts]
+    for _ in range(steps):
+        u = r.random(len(states))
+        arms = kern.pick(u)
+        rewards = r.random(len(states)) < 0.5
+        kern.update(arms, rewards)
+        for c, state in enumerate(states):
+            assert arms[c] == samba_pick(state, u[c])
+            reference(state, int(arms[c]), int(rewards[c]))
+            col = kern.p[:, c].tolist()
+            assert ([x.hex() for x in col], samba_leader(col), kern.clamp_events[c]) == bits(state)
+    return states
+
+
+TIE_STARTS = [
+    [0.25, 0.25, 0.25, 0.25],
+    [0.4, 0.4, 0.2],
+    [0.1, 0.3, 0.3, 0.3],
+    [0.2, 0.15, 0.3, 0.05, 0.3],
+]
 
 
 class TestMatchesLoopReference:
@@ -347,15 +382,7 @@ class TestMatchesLoopReference:
         state = play_both(samba_from_probabilities(p, 0.5), 400, rng(21))
         assert state.clamp_events > 0
 
-    @pytest.mark.parametrize(
-        "p",
-        [
-            [0.25, 0.25, 0.25, 0.25],
-            [0.4, 0.4, 0.2],
-            [0.1, 0.3, 0.3, 0.3],
-            [0.2, 0.15, 0.3, 0.05, 0.3],
-        ],
-    )
+    @pytest.mark.parametrize("p", TIE_STARTS)
     def test_leader_ties(self, p):
         assert samba_leader(p) == ref_leader(p)
         start = samba_from_probabilities(p, 0.25)
@@ -378,13 +405,22 @@ class TestMatchesLoopReference:
         assert state.leader == 0
 
     def test_tampered_update_histories(self):
+        # TamperedLockstep's columns follow the scalar ref_tampered bit for bit.
         r = rng(22)
         for _ in range(20):
             k = int(r.integers(2, 33))
             alpha = float(r.uniform(0.005, 0.995))
-            play_both(samba_init(k, alpha), 500, r, update=tampered_update, reference=ref_tampered)
-        # from below the floor, the negated non-leader step runs the clamp path too
+            play_columns(TamperedLockstep, [[1.0 / k] * k] * 4, alpha, 500, r, ref_tampered)
+        # every one-step outcome of a tied state, then histories from it
+        for p in TIE_STARTS:
+            k = len(p)
+            kern = TamperedLockstep(np.repeat(np.array(p)[:, None], 2 * k, axis=1), 0.25)
+            kern.update(np.arange(2 * k) // 2, np.arange(2 * k) % 2 == 1)
+            for c in range(2 * k):
+                want = ref_tampered(samba_from_probabilities(p, 0.25), c // 2, c % 2)
+                assert [x.hex() for x in kern.p[:, c].tolist()] == bits(want)[0]
+            play_columns(TamperedLockstep, [p] * 3, 0.25, 300, r, ref_tampered)
+        # from below the floor, the shrinking non-leader step runs the clamp path too
         tiny = [0.5 * CLAMP_FLOOR, 0.3, 0.7 - 0.5 * CLAMP_FLOOR]
-        start = samba_from_probabilities(tiny, 0.6)
-        state = play_both(start, 400, r, update=tampered_update, reference=ref_tampered)
-        assert state.clamp_events > 0
+        states = play_columns(TamperedLockstep, [tiny] * 4, 0.6, 400, r, ref_tampered)
+        assert sum(state.clamp_events for state in states) > 0

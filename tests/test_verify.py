@@ -6,6 +6,7 @@ import pytest
 
 from banditlab.core import InstanceTooLarge, make_instance
 from banditlab.samba import (
+    SambaLockstep,
     samba_from_probabilities,
     samba_init,
     samba_pick,
@@ -21,6 +22,7 @@ from banditlab.verify import (
     PrepFailure,
     RecoveryReport,
     SuiteSizes,
+    TamperedLockstep,
     analysis_constants,
     check_drift_leader,
     check_drift_nonleader,
@@ -36,8 +38,14 @@ from banditlab.verify import (
     prep_nonleader,
     run_verification_suite,
     samba_batch_step,
-    tampered_update,
 )
+from test_samba import ref_tampered
+
+# Each SAMBA kernel with the scalar rule its columns must follow.
+KERNEL_RULES = [
+    pytest.param(SambaLockstep, samba_update, id="samba"),
+    pytest.param(TamperedLockstep, ref_tampered, id="tampered"),
+]
 
 
 def ladder():
@@ -229,21 +237,27 @@ class TestDriftChecks:
 
     def test_tampered_update_fails_nonleader(self):
         report = check_drift_nonleader(
-            two_arm(), 0.05, samples=30_000, rng=rng(8), update_fn=tampered_update
+            two_arm(), 0.05, samples=30_000, rng=rng(8), kernel=TamperedLockstep
         )
         assert not report.passed
         assert report.mean_drift > 0  # mass drains away from the best arm
 
-    def test_tampered_update_differs_only_on_rewarded_nonleader_pull(self):
+    @pytest.mark.parametrize("kernel, rule", KERNEL_RULES)
+    def test_tampered_update_differs_only_on_rewarded_nonleader_pull(self, kernel, rule):
+        # Column 2a + r of one update is the outcome (arm a, reward r).
         p = [0.2, 0.3, 0.5]
-        state = tampered_update(samba_from_probabilities(p, 0.05), 0, 1)
-        assert state.p[0] == 0.2 * (1.0 - 0.05)
-        assert state.p[2] == 1.0 - (state.p[0] + state.p[1])
-        assert (state.leader, state.alpha) == (2, 0.05)
-        for pulled, reward in ((2, 1), (0, 0)):
-            tampered = tampered_update(samba_from_probabilities(p, 0.05), pulled, reward)
-            clean = samba_update(samba_from_probabilities(p, 0.05), pulled, reward)
-            assert (tampered.p, tampered.leader) == (clean.p, clean.leader)
+        kern = kernel(np.repeat(np.array(p)[:, None], 6, axis=1), 0.05)
+        kern.update(np.arange(6) // 2, np.arange(6) % 2 == 1)
+        for c in range(6):
+            pulled, reward = divmod(c, 2)
+            col = kern.p[:, c].tolist()
+            want = rule(samba_from_probabilities(p, 0.05), pulled, reward)
+            assert [x.hex() for x in col] == [x.hex() for x in want.p]
+            if kernel is TamperedLockstep and reward and pulled != 2:
+                assert col[pulled] == p[pulled] * (1.0 - 0.05)
+                assert col[2] == 1.0 - sum(x for a, x in enumerate(col) if a != 2)
+            else:
+                assert col == samba_update(samba_from_probabilities(p, 0.05), pulled, reward).p
 
     def test_invalid_alpha_rejected(self):
         with pytest.raises(ValueError):
@@ -280,18 +294,20 @@ def reference_mc_one_step(state, means, metric, samples, rng, update_fn):
 class TestMcOneStepByOutcome:
     """Summing per outcome gives the per-sample loop's (mean, ci) bit for bit."""
 
-    @pytest.mark.parametrize("update_fn", [samba_update, tampered_update])
+    @pytest.mark.parametrize("kernel, rule", KERNEL_RULES)
     @pytest.mark.parametrize("samples", [1, 999, _MC_CHUNK + 4321])
     @pytest.mark.parametrize("prep", ["nonleader", "leader"])
-    def test_matches_per_sample_loop(self, prep, samples, update_fn):
+    def test_matches_per_sample_loop(self, prep, samples, kernel, rule):
         inst = ladder()
         state = (prep_nonleader if prep == "nonleader" else prep_leader)(inst, 0.05, rng(3))
         a_star = inst.optimal_arm
         means = [m - 0.05 if a == a_star else m for a, m in enumerate(inst.means)]
-        for metric in (lambda s: 1.0 / s.p[a_star], lambda s: 1.0 - s.p[a_star]):
+        for metric in (lambda p: 1.0 / p[a_star], lambda p: 1.0 - p[a_star]):
             ours, theirs = rng(11), rng(11)
-            got = _mc_one_step(state.copy(), means, metric, samples, ours, update_fn)
-            want = reference_mc_one_step(state.copy(), means, metric, samples, theirs, update_fn)
+            got = _mc_one_step(state.copy(), means, metric, samples, ours, kernel)
+            want = reference_mc_one_step(
+                state.copy(), means, lambda s: metric(s.p), samples, theirs, rule
+            )
             assert [x.hex() for x in got] == [x.hex() for x in want]
             assert type(got[0]) is float and type(got[1]) is float
             assert ours.random() == theirs.random()  # the same 2 * samples draws
@@ -637,7 +653,7 @@ class TestSuiteDriver:
             0.05,
             sizes=self.SIZES,
             seed=77,
-            update_fn=tampered_update,
+            kernel=TamperedLockstep,
             log_curve=self._curve(),
         )
         by_name = {o.name: o.passed for o in outcomes}
