@@ -7,8 +7,8 @@ seed: floats are serialized with 17 significant digits independent of
 locale, rows in fixed cell/replication order, and the manifest records a
 hash of the canonicalized config so re-runs can be matched to their inputs.
 
-Exit codes: 0 success, 1 verification found a failing bound, 2 config
-error, 3 runtime failure.
+Exit codes: 0 success, 1 a verification check failed or could not be set
+up, 2 config error, 3 runtime failure.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ import math
 import os
 import sys
 import time
+
+import numpy
 
 from . import __version__
 from .adversary import SCHEMES, STRATEGIES, BudgetExceedsHorizonCapacity, default_per_step_cost
@@ -287,7 +289,10 @@ def _write_manifest(out_dir: str, cfg: dict, seed: int, threads: int, outputs: l
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "generator": GENERATOR_NAME,
         "master_seed": seed,
+        "numpy": numpy.__version__,
         "outputs": sorted(outputs),
+        "platform": f"{sys.platform}-{os.uname().machine}",
+        "python": "{}.{}.{}".format(*sys.version_info[:3]),
         "threads": threads,
     }
     path = os.path.join(out_dir, "manifest.json")

@@ -7,9 +7,11 @@ instances, optional-stopping recovery bounds, and the embedded-chain decay
 envelope. The drift checks play a state's 2K one-step outcomes, and the
 recovery, decay and oracle checks their replications, as the columns of the
 batched :class:`~banditlab.samba.SambaLockstep`, bit-identical per column to
-``samba_update``. The drift checks take the kernel class:
+``samba_update``. Each of those checks takes the kernel class:
 :class:`TamperedLockstep` (the hidden ``--tamper-update`` flag) is a
-deliberately broken one that turns them red; it reaches no other check.
+deliberately broken one. It reaches every check but the log fit, which
+judges a curve the engine makes. A check that cannot be set up raises a
+:class:`CheckSetupFailure`, which the suite reports as a failed check.
 """
 
 from __future__ import annotations
@@ -25,19 +27,24 @@ from .engine import make_stream
 from .samba import SambaLockstep, SambaState, samba_init, samba_select, samba_update
 
 
-class PrepFailure(BanditLabError, RuntimeError):
+class CheckSetupFailure(BanditLabError):
+    """A check could not be set up; the suite reports it as FAIL with the reason."""
+
+
+class PrepFailure(CheckSetupFailure, RuntimeError):
     """A state-preparation routine could not produce a qualifying state."""
 
 
-class BurnInFailure(BanditLabError, RuntimeError):
+class BurnInFailure(CheckSetupFailure, RuntimeError):
     """Too few replications reached the required state before injection."""
 
 
-class DegenerateFit(BanditLabError, ValueError):
+class DegenerateFit(CheckSetupFailure, ValueError):
     """Curve unsuitable for a log fit (too few points or too narrow a span)."""
 
 
-_DEFAULT_SEED = 0x5EED  # the stream a check draws from when no rng is passed
+class UndefinedBound(CheckSetupFailure, ValueError):
+    """The step size violates the drift condition, so the drift bound is undefined."""
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +338,7 @@ def check_drift_nonleader(
     *,
     cost: float = 0.0,
     samples: int = 1_000_000,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     state_prep: Callable[[np.random.Generator], SambaState] | None = None,
     kernel: type[SambaLockstep] = SambaLockstep,
 ) -> DriftReport:
@@ -339,11 +346,11 @@ def check_drift_nonleader(
 
     Pass iff mean + CI <= -xi + alpha*cost*(1 + epsilon + 1/(1+alpha)). The
     single-step corruption applied is the worst case of total shift ``cost``.
+    :class:`UndefinedBound` if alpha violates the drift condition.
     """
     consts = analysis_constants(instance, alpha)
     if not consts.theory_valid:
-        raise ValueError("step size violates the drift condition; bound undefined")
-    rng = rng if rng is not None else make_stream(_DEFAULT_SEED)
+        raise UndefinedBound("step size violates the drift condition; bound undefined")
     state = state_prep(rng) if state_prep is not None else prep_nonleader(instance, alpha, rng)
     a_star = instance.optimal_arm
     if state.leader == a_star:
@@ -362,7 +369,7 @@ def check_drift_leader(
     *,
     cost: float = 0.0,
     samples: int = 1_000_000,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     state_prep: Callable[[np.random.Generator], SambaState] | None = None,
     kernel: type[SambaLockstep] = SambaLockstep,
 ) -> DriftReport:
@@ -372,7 +379,6 @@ def check_drift_leader(
     when clean). Meaningful as an upper bound for cost <= gap/2.
     """
     consts = analysis_constants(instance, alpha)
-    rng = rng if rng is not None else make_stream(_DEFAULT_SEED)
     state = state_prep(rng) if state_prep is not None else prep_leader(instance, alpha, rng)
     a_star = instance.optimal_arm
     if state.leader != a_star or state.p[a_star] < 0.5:
@@ -387,13 +393,15 @@ def check_drift_leader(
 
 
 class TamperedLockstep(SambaLockstep):
-    """Deliberately broken kernel so the drift checks can be shown to fail.
+    """Deliberately broken kernel so the checks can be shown to fail.
 
     SambaLockstep except that a rewarded non-leader pull *shrinks* by the
     factor (1 - alpha) instead of growing by (1 + alpha): mass drains toward
     whoever currently leads, so in a suppressed-best-arm state 1/p* drifts
-    upward and the non-leader checks go red. Wired to the CLI's hidden
-    ``--tamper-update`` flag.
+    upward and the non-leader checks go red. On the default ladder the best
+    arm does not lead from the uniform start and seldom takes over, so
+    recovery and decay cannot be set up; oracle_mc's mean leaves the exact
+    regret. Wired to the CLI's hidden ``--tamper-update`` flag.
     """
 
     def __init__(self, p: np.ndarray, alpha: float):
@@ -461,7 +469,8 @@ def check_recovery_time(
     *,
     reps: int = 10_000,
     t0: int = 20_000,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
+    kernel: type[SambaLockstep] = SambaLockstep,
 ) -> RecoveryReport:
     """Mean rounds until q returns below its pre-injection level.
 
@@ -477,10 +486,9 @@ def check_recovery_time(
     """
     costs = [cost] if isinstance(cost, (int, float)) else list(cost)
     total_cost = float(sum(costs))
-    rng = rng if rng is not None else make_stream(_DEFAULT_SEED)
     a_star = instance.optimal_arm
     true_means = np.asarray(instance.means)
-    kern = SambaLockstep(np.full((instance.k, reps), 1.0 / instance.k), alpha)
+    kern = kernel(np.full((instance.k, reps), 1.0 / instance.k), alpha)
 
     for _ in range(t0):
         _play_round(kern, true_means, rng)
@@ -492,7 +500,7 @@ def check_recovery_time(
         raise BurnInFailure(
             f"{burnin_failures}/{reps} replications above q=1/2 after {t0} clean rounds"
         )
-    kern = SambaLockstep(np.ascontiguousarray(kern.p[:, ok]), alpha)
+    kern = kernel(np.ascontiguousarray(kern.p[:, ok]), alpha)
     q0 = q0[ok]
     n = q0.size
 
@@ -550,7 +558,8 @@ def check_qhat_decay(
     horizon: int = 50_000,
     reps: int = 200,
     s_grid: Sequence[int] = (100, 1_000, 10_000),
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
+    kernel: type[SambaLockstep] = SambaLockstep,
 ) -> DecayReport:
     """Empirical mean of q along the embedded chain vs 2K/(4K + alpha*gap*s).
 
@@ -558,14 +567,13 @@ def check_qhat_decay(
     re-indexed s = 0, 1, 2, ...; replications whose chain never reaches
     max(s_grid) are dropped (more than 5% dropping fails the prep).
     """
-    rng = rng if rng is not None else make_stream(_DEFAULT_SEED)
     grid = tuple(int(s) for s in s_grid)
     s_max = max(grid)
     a_star = instance.optimal_arm
     k = instance.k
     gap = instance.min_gap
     true_means = np.asarray(instance.means)
-    kern = SambaLockstep(np.full((k, reps), 1.0 / k), alpha)
+    kern = kernel(np.full((k, reps), 1.0 / k), alpha)
     counters = np.zeros(reps, dtype=np.int64)
     recorded = np.full((reps, len(grid)), np.nan)
     grid_arr = np.asarray(grid)
@@ -671,13 +679,14 @@ def mc_regret(
     alpha: float,
     horizon: int,
     episodes: int,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
+    *,
+    kernel: type[SambaLockstep] = SambaLockstep,
 ) -> tuple[float, float]:
     """Monte-Carlo mean pseudo-regret of clean runs and its 3-sigma CI."""
-    rng = rng if rng is not None else make_stream(_DEFAULT_SEED)
     true_means = np.asarray(instance.means)
     gaps = np.asarray(instance.gaps)
-    kern = SambaLockstep(np.full((instance.k, episodes), 1.0 / instance.k), alpha)
+    kern = kernel(np.full((instance.k, episodes), 1.0 / instance.k), alpha)
     regret = np.zeros(episodes)
     for _ in range(horizon):
         regret += gaps[_play_round(kern, true_means, rng)]
@@ -698,6 +707,14 @@ class LogFit:
     rss: float
 
 
+def _line_fit(x: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
+    """Least-squares ys ~ a + b * x: (a, b, residual sum of squares)."""
+    design = np.column_stack([np.ones_like(x), x])
+    coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
+    resid = ys - design @ coef
+    return float(coef[0]), float(coef[1]), float(resid @ resid)
+
+
 def fit_log_regret(curve: Sequence[tuple[int, float]]) -> LogFit:
     """Least-squares fit regret(t) ~ intercept + slope * ln(t).
 
@@ -706,27 +723,17 @@ def fit_log_regret(curve: Sequence[tuple[int, float]]) -> LogFit:
     """
     if len(curve) < 5:
         raise DegenerateFit(f"need >= 5 checkpoints, got {len(curve)}")
-    ts = np.asarray([t for t, _ in curve], dtype=float)
-    ys = np.asarray([r for _, r in curve], dtype=float)
+    ts, ys = np.asarray(curve, dtype=float).T
     if ts.min() < 1 or ts.max() / ts.min() < 10.0:
         raise DegenerateFit("checkpoints must span at least one decade of rounds")
-    x = np.log(ts)
-    design = np.column_stack([np.ones_like(x), x])
-    coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
-    resid = ys - design @ coef
-    return LogFit(intercept=float(coef[0]), slope=float(coef[1]), rss=float(resid @ resid))
+    return LogFit(*_line_fit(np.log(ts), ys))
 
 
 def compare_log_vs_logsq(curve: Sequence[tuple[int, float]]) -> tuple[float, float]:
     """Residual sums of a ln(t) fit and a (ln t)^2 fit of the same curve."""
     fit = fit_log_regret(curve)
-    ts = np.asarray([t for t, _ in curve], dtype=float)
-    ys = np.asarray([r for _, r in curve], dtype=float)
-    x2 = np.log(ts) ** 2
-    design = np.column_stack([np.ones_like(x2), x2])
-    coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
-    resid = ys - design @ coef
-    return fit.rss, float(resid @ resid)
+    ts, ys = np.asarray(curve, dtype=float).T
+    return fit.rss, _line_fit(np.log(ts) ** 2, ys)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -777,104 +784,90 @@ def run_verification_suite(
     kernel: type[SambaLockstep] = SambaLockstep,
     log_curve: Sequence[tuple[int, float]] | None = None,
 ) -> list[CheckOutcome]:
-    """Run every analysis check; the caller supplies the clean regret curve
-    for the log-fit stage (the CLI produces one with the engine)."""
+    """Run every analysis check, each a (name, thunk) row giving (passed, detail).
+
+    A check that cannot be set up (:class:`CheckSetupFailure`) fails with
+    the reason and the others still run; any other exception propagates.
+    ``kernel`` plays SAMBA in the drift, recovery, decay and oracle_mc
+    checks. log_fit judges the caller's clean regret curve (the CLI makes
+    it with the engine), the suite's only check of the engine's own curve;
+    the kernel does not reach it, since that would need an option on the
+    engine or its policy registry.
+    """
     sizes = sizes or SuiteSizes()
     consts = analysis_constants(instance, alpha)
-    outcomes = [
-        CheckOutcome(
-            name="constants",
-            passed=consts.theory_valid,
-            detail=(
-                f"alpha={alpha} vs bound={consts.alpha_bound:.6g}, "
-                f"epsilon={consts.epsilon:.6g}, xi={consts.xi:.6g}, zeta={consts.zeta:.6g}"
-            ),
-        )
-    ]
-    half_gap_eighth = instance.min_gap / 8.0
-    drift_cases = [
-        ("drift_nonleader_clean", check_drift_nonleader, 0.0),
-        ("drift_nonleader_corrupted", check_drift_nonleader, half_gap_eighth),
-        ("drift_leader_clean", check_drift_leader, 0.0),
-        ("drift_leader_corrupted", check_drift_leader, half_gap_eighth),
-    ]
-    for i, (name, fn, cost) in enumerate(drift_cases):
-        report = fn(
-            instance,
-            alpha,
-            cost=cost,
-            samples=sizes.drift_samples,
-            rng=make_stream(seed + i),
-            kernel=kernel,
-        )
-        outcomes.append(
-            CheckOutcome(
-                name=name,
-                passed=report.passed,
-                detail=(
-                    f"drift={report.mean_drift:.3e} +/- {report.ci_half_width:.1e} "
-                    f"vs bound={report.bound:.3e} (exact {report.exact_drift:.3e})"
-                ),
-            )
+    eighth_gap = instance.min_gap / 8.0
+
+    def constants() -> tuple[bool, str]:
+        return consts.theory_valid, (
+            f"alpha={alpha} vs bound={consts.alpha_bound:.6g}, "
+            f"epsilon={consts.epsilon:.6g}, xi={consts.xi:.6g}, zeta={consts.zeta:.6g}"
         )
 
-    rec = check_recovery_time(
-        instance,
-        alpha,
-        instance.optimal_mean,
-        reps=sizes.recovery_reps,
-        t0=sizes.recovery_t0,
-        rng=make_stream(seed + 11),
-    )
-    outcomes.append(
-        CheckOutcome(
-            name="recovery",
-            passed=rec.passed,
-            detail=(
-                f"mean={rec.mean_steps:.2f} +/- {rec.ci_half_width:.2f} rounds "
-                f"vs bound={rec.bound:.1f} ({rec.reps_used} reps)"
-            ),
+    def drift(check: Callable[..., DriftReport], cost: float, offset: int) -> tuple[bool, str]:
+        report = check(
+            instance, alpha, cost=cost, samples=sizes.drift_samples,
+            rng=make_stream(seed + offset), kernel=kernel,
         )
-    )
-
-    decay = check_qhat_decay(
-        instance,
-        alpha,
-        horizon=sizes.decay_horizon,
-        reps=sizes.decay_reps,
-        s_grid=sizes.decay_grid,
-        rng=make_stream(seed + 12),
-    )
-    decay_detail = ", ".join(
-        f"s={s}: {m:.4f}<= {b:.4f}+{c:.4f}"
-        for s, m, b, c in zip(decay.s_grid, decay.means, decay.bounds, decay.ci_half_widths)
-    )
-    outcomes.append(CheckOutcome(name="decay", passed=decay.passed, detail=decay_detail))
-
-    small = make_instance((0.9, 0.5))
-    exact = exact_regret_oracle(small, 0.1, 8)
-    mc_mean, mc_ci = mc_regret(small, 0.1, 8, sizes.mc_episodes, make_stream(seed + 13))
-    outcomes.append(
-        CheckOutcome(
-            name="oracle_mc",
-            passed=abs(mc_mean - exact) <= mc_ci,
-            detail=f"mc={mc_mean:.5f} +/- {mc_ci:.5f} vs exact={exact:.5f}",
+        return report.passed, (
+            f"drift={report.mean_drift:.3e} +/- {report.ci_half_width:.1e} "
+            f"vs bound={report.bound:.3e} (exact {report.exact_drift:.3e})"
         )
-    )
 
-    if log_curve is not None:
+    def recovery() -> tuple[bool, str]:
+        rec = check_recovery_time(
+            instance, alpha, instance.optimal_mean, reps=sizes.recovery_reps,
+            t0=sizes.recovery_t0, rng=make_stream(seed + 11), kernel=kernel,
+        )
+        return rec.passed, (
+            f"mean={rec.mean_steps:.2f} +/- {rec.ci_half_width:.2f} rounds "
+            f"vs bound={rec.bound:.1f} ({rec.reps_used} reps)"
+        )
+
+    def decay() -> tuple[bool, str]:
+        rep = check_qhat_decay(
+            instance, alpha, horizon=sizes.decay_horizon, reps=sizes.decay_reps,
+            s_grid=sizes.decay_grid, rng=make_stream(seed + 12), kernel=kernel,
+        )
+        return rep.passed, ", ".join(
+            f"s={s}: {m:.4f}<= {b:.4f}+{c:.4f}"
+            for s, m, b, c in zip(rep.s_grid, rep.means, rep.bounds, rep.ci_half_widths)
+        )
+
+    def oracle_mc() -> tuple[bool, str]:
+        small = make_instance((0.9, 0.5))
+        exact = exact_regret_oracle(small, 0.1, 8)
+        mc_mean, mc_ci = mc_regret(
+            small, 0.1, 8, sizes.mc_episodes, make_stream(seed + 13), kernel=kernel
+        )
+        return abs(mc_mean - exact) <= mc_ci, f"mc={mc_mean:.5f} +/- {mc_ci:.5f} vs exact={exact:.5f}"
+
+    def log_fit() -> tuple[bool, str]:
         tail = [(t, r) for t, r in log_curve if t >= 1000]
-        try:
-            fit = fit_log_regret(tail)
-            rss_log, rss_sq = compare_log_vs_logsq(tail)
-            cap = instance.k / (alpha * instance.min_gap)
-            ok = 0.0 < fit.slope <= cap and rss_log < rss_sq
-            detail = (
-                f"slope={fit.slope:.1f} (cap {cap:.0f}), "
-                f"rss ln={rss_log:.3g} vs ln^2={rss_sq:.3g}"
-            )
-        except DegenerateFit as exc:
-            ok, detail = False, f"degenerate fit: {exc}"
-        outcomes.append(CheckOutcome(name="log_fit", passed=ok, detail=detail))
+        fit = fit_log_regret(tail)
+        rss_log, rss_sq = compare_log_vs_logsq(tail)
+        cap = instance.k / (alpha * instance.min_gap)
+        return 0.0 < fit.slope <= cap and rss_log < rss_sq, (
+            f"slope={fit.slope:.1f} (cap {cap:.0f}), rss ln={rss_log:.3g} vs ln^2={rss_sq:.3g}"
+        )
 
+    checks = [
+        ("constants", constants),
+        ("drift_nonleader_clean", lambda: drift(check_drift_nonleader, 0.0, 0)),
+        ("drift_nonleader_corrupted", lambda: drift(check_drift_nonleader, eighth_gap, 1)),
+        ("drift_leader_clean", lambda: drift(check_drift_leader, 0.0, 2)),
+        ("drift_leader_corrupted", lambda: drift(check_drift_leader, eighth_gap, 3)),
+        ("recovery", recovery),
+        ("decay", decay),
+        ("oracle_mc", oracle_mc),
+    ]
+    if log_curve is not None:
+        checks.append(("log_fit", log_fit))
+    outcomes = []
+    for name, thunk in checks:
+        try:
+            passed, detail = thunk()
+        except CheckSetupFailure as exc:
+            passed, detail = False, f"not set up: {exc}"
+        outcomes.append(CheckOutcome(name=name, passed=passed, detail=detail))
     return outcomes

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from banditlab.cli import _load_json, _parse_experiment, _parse_instances, main
@@ -55,6 +56,9 @@ class TestRun:
         assert manifest["generator"] == "philox4x64-splitmix64"
         assert manifest["master_seed"] == 42
         assert sorted(manifest["outputs"]) == ["curves.csv", "results.csv"]
+        assert manifest["python"] == "{}.{}.{}".format(*sys.version_info[:3])
+        assert manifest["numpy"] == np.__version__
+        assert manifest["platform"] == f"{sys.platform}-{os.uname().machine}"
 
     def test_missing_config_flag(self, capsys):
         assert main(["run"]) == 2
@@ -478,12 +482,8 @@ VERIFY_CONSTANTS_LINE = (
     "constants                    PASS  alpha=0.05 vs bound=0.125, epsilon=0.0357143, "
     "xi=0.00142857, zeta=0.0143713"
 )
-VERIFY_UNTAMPERED_LINES = (  # the checks the tamper does not reach
-    "recovery                     PASS  mean=5.53 +/- 8.06 rounds vs bound=36.0 (979 reps)",
-    "decay                        PASS  s=100: 0.4154<= 0.4932+0.0197, "
-    "s=1000: 0.2157<= 0.4390+0.0161, s=5000: 0.0742<= 0.2951+0.0054",
-    "oracle_mc                    PASS  mc=1.50664 +/- 0.00651 vs exact=1.50442",
-    "log_fit                      PASS  slope=149.8 (cap 1800), rss ln=133 vs ln^2=1.45e+03",
+VERIFY_LOG_FIT_LINE = (  # the tamper does not reach the engine's curve
+    "log_fit                      PASS  slope=149.8 (cap 1800), rss ln=133 vs ln^2=1.45e+03"
 )
 VERIFY_CLEAN_LINES = [
     VERIFY_CONSTANTS_LINE,
@@ -491,7 +491,11 @@ VERIFY_CLEAN_LINES = [
     "drift_nonleader_corrupted    PASS  drift=-1.533e-03 +/- 5.1e-04 vs bound=-1.860e-04 (exact -1.435e-03)",
     "drift_leader_clean           PASS  drift=-3.999e-04 +/- 1.8e-05 vs bound=-8.726e-05 (exact -3.974e-04)",
     "drift_leader_corrupted       PASS  drift=-2.685e-04 +/- 8.5e-06 vs bound=-6.648e-05 (exact -2.696e-04)",
-    *VERIFY_UNTAMPERED_LINES,
+    "recovery                     PASS  mean=5.53 +/- 8.06 rounds vs bound=36.0 (979 reps)",
+    "decay                        PASS  s=100: 0.4154<= 0.4932+0.0197, "
+    "s=1000: 0.2157<= 0.4390+0.0161, s=5000: 0.0742<= 0.2951+0.0054",
+    "oracle_mc                    PASS  mc=1.50664 +/- 0.00651 vs exact=1.50442",
+    VERIFY_LOG_FIT_LINE,
     "all 9 checks passed",
 ]
 VERIFY_TAMPERED_LINES = [
@@ -500,8 +504,11 @@ VERIFY_TAMPERED_LINES = [
     "drift_nonleader_corrupted    FAIL  drift=8.770e-02 +/- 5.2e-04 vs bound=-1.860e-04 (exact -1.435e-03)",
     "drift_leader_clean           PASS  drift=-6.018e-03 +/- 1.0e-05 vs bound=-8.726e-05 (exact -3.974e-04)",
     "drift_leader_corrupted       PASS  drift=-2.914e-03 +/- 4.9e-06 vs bound=-6.648e-05 (exact -2.696e-04)",
-    *VERIFY_UNTAMPERED_LINES,
-    "2 of 9 checks failed",
+    "recovery                     FAIL  not set up: 1000/1000 replications above q=1/2 after 8000 clean rounds",
+    "decay                        FAIL  not set up: only 0/60 replications produced an embedded chain of length 5000",
+    "oracle_mc                    FAIL  mc=1.29280 +/- 0.00542 vs exact=1.50442",
+    VERIFY_LOG_FIT_LINE,
+    "5 of 9 checks failed",
 ]
 
 
@@ -528,6 +535,21 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert code == 1
         assert out.splitlines() == VERIFY_TAMPERED_LINES
+
+    def test_alpha_past_the_drift_condition_exit_1_with_every_check(self, tmp_path, capsys):
+        # alpha = 0.2 is a valid step size but above this instance's bound of
+        # 0.125: the checks that need the bound fail with the reason.
+        cfg = write_config(tmp_path, {**self.CONFIG, "alpha": 0.2})
+        code = main(["verify", "--config", cfg, "--fast"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert len(lines) == 10
+        assert lines[-1] == "4 of 9 checks failed"
+        marks = {line.split()[0]: line.split()[1] for line in lines[:-1]}
+        failing = {name for name, mark in marks.items() if mark == "FAIL"}
+        assert failing == {"constants", "drift_nonleader_clean", "drift_nonleader_corrupted", "decay"}
+        for line in lines[1:3]:
+            assert line.endswith("FAIL  not set up: step size violates the drift condition; bound undefined")
 
     def test_bad_alpha_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, {**self.CONFIG, "alpha": 1.5})

@@ -647,7 +647,7 @@ class TestSuiteDriver:
         ]
         assert all(o.passed for o in outcomes), [o for o in outcomes if not o.passed]
 
-    def test_tampered_update_fails_drift_only(self):
+    def test_tampered_kernel_fails_nonleader_drift(self):
         outcomes = run_verification_suite(
             two_arm(),
             0.05,
@@ -659,6 +659,26 @@ class TestSuiteDriver:
         by_name = {o.name: o.passed for o in outcomes}
         assert not by_name["drift_nonleader_clean"]
         assert not by_name["drift_nonleader_corrupted"]
+
+    def test_tampered_kernel_reaches_recovery_decay_and_oracle(self):
+        # On two arms the best arm leads from the uniform start, so the tamper
+        # helps it; on the ladder it never takes over, and the recovery and
+        # decay checks cannot be set up. Each is a failed check, not an error.
+        outcomes = run_verification_suite(
+            ladder(),
+            0.05,
+            sizes=self.SIZES,
+            seed=77,
+            kernel=TamperedLockstep,
+            log_curve=self._curve(),
+        )
+        by_name = {o.name: o for o in outcomes}
+        assert len(outcomes) == 9
+        for name in ("recovery", "decay", "oracle_mc"):
+            assert not by_name[name].passed, by_name[name]
+        assert by_name["recovery"].detail.startswith("not set up: 400/400 replications above q=1/2")
+        assert by_name["decay"].detail.startswith("not set up: only 0/50 replications")
+        assert by_name["log_fit"].passed  # the tamper does not reach the engine's curve
 
     def test_fast_sizes_are_reduced(self):
         fast = SuiteSizes.fast()
