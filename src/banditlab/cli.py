@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import sys
 import time
 
@@ -291,7 +292,7 @@ def _write_manifest(out_dir: str, cfg: dict, seed: int, threads: int, outputs: l
         "master_seed": seed,
         "numpy": numpy.__version__,
         "outputs": sorted(outputs),
-        "platform": f"{sys.platform}-{os.uname().machine}",
+        "platform": f"{sys.platform}-{platform.machine()}",
         "python": "{}.{}.{}".format(*sys.version_info[:3]),
         "threads": threads,
     }

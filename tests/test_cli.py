@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import pathlib
+import platform
 import signal
 import subprocess
 import sys
@@ -58,7 +59,7 @@ class TestRun:
         assert sorted(manifest["outputs"]) == ["curves.csv", "results.csv"]
         assert manifest["python"] == "{}.{}.{}".format(*sys.version_info[:3])
         assert manifest["numpy"] == np.__version__
-        assert manifest["platform"] == f"{sys.platform}-{os.uname().machine}"
+        assert manifest["platform"] == f"{sys.platform}-{platform.machine()}"
 
     def test_missing_config_flag(self, capsys):
         assert main(["run"]) == 2
