@@ -1,11 +1,13 @@
 """Command-line front end.
 
-Subcommands: ``run`` (one instance, any corruption grid), ``sweep`` (adds arm
-count grids), ``verify`` (analysis property suite), ``bench`` (wall-clock
-table). All outputs are deterministic functions of the config and master
-seed: floats are serialized with 17 significant digits independent of
-locale, rows in fixed cell/replication order, and the manifest records a
-hash of the canonicalized config so re-runs can be matched to their inputs.
+Subcommands: ``run`` (an experiment grid over arm counts, corruption plans
+and algorithms; ``sweep`` is another name for it), ``verify`` (analysis
+property suite), ``bench`` (wall-clock table). Each command takes only the
+flags and top-level config keys it reads. All outputs are deterministic
+functions of the config and master seed: floats are serialized with 17
+significant digits independent of locale, rows in fixed cell/replication
+order, and the manifest records a hash of the canonicalized config so re-runs
+can be matched to their inputs.
 
 Exit codes: 0 success, 1 a verification check failed or could not be set
 up, 2 config error, 3 runtime failure.
@@ -27,7 +29,7 @@ import numpy
 from . import __version__
 from .adversary import SCHEMES, STRATEGIES, BudgetExceedsHorizonCapacity, default_per_step_cost
 from .baselines import ALGORITHMS, make_policy
-from .core import BanditLabError, make_instance
+from .core import MAX_ARMS, BanditLabError, make_instance
 from .engine import (
     GENERATOR_NAME,
     AggregateStats,
@@ -51,8 +53,7 @@ BENCH_COLUMNS = "algorithm,mean_s,sd_s,step_ratio"
 CONFIG_SCHEMES = tuple(s for s in SCHEMES if s != "custom")
 # The top-level keys each command reads; any other key is an error.
 RUN_KEYS = {
-    "schema_version", "horizon", "replications", "master_seed", "checkpoints_per_decade",
-    "instance", "algorithms", "corruption",
+    "schema_version", "horizon", "replications", "master_seed", "instance", "algorithms", "corruption",
 }
 BENCH_KEYS = {"schema_version", "horizon", "replications", "master_seed", "instance", "algorithms"}
 VERIFY_KEYS = {"schema_version", "master_seed", "instance", "alpha"}
@@ -76,10 +77,10 @@ def _load_json(path: str, command: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}")
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ConfigError(f"cannot read config file: {exc}")
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ConfigError(f"config is not valid UTF-8 JSON: {exc}")
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     version = data.get("schema_version")
@@ -124,8 +125,6 @@ def _master_seed(cfg: dict, args, default: int) -> int:
 
 def _threads(requested: int | None) -> int:
     """Worker count: ``--threads``, else ``BANDITLAB_THREADS``, else all cores."""
-    if requested is not None and requested < 1:
-        raise ConfigError(f"--threads must be a positive integer, got {requested!r}")
     try:
         return resolve_threads(requested)
     except ValueError as exc:
@@ -136,7 +135,7 @@ def _as_list(value) -> list:
     return value if isinstance(value, list) else [value]
 
 
-def _parse_instances(cfg: dict, *, allow_grid: bool) -> tuple[InstanceSpec, ...]:
+def _parse_instances(cfg: dict) -> tuple[InstanceSpec, ...]:
     raw = cfg.get("instance")
     if not isinstance(raw, dict):
         raise ConfigError("config needs an 'instance' object")
@@ -156,18 +155,16 @@ def _parse_instances(cfg: dict, *, allow_grid: bool) -> tuple[InstanceSpec, ...]
         ks = _as_list(raw.get("k"))
         if not ks:
             raise ConfigError("'instance.k' must list at least one arm count")
-        if len(ks) > 1 and not allow_grid:
-            raise ConfigError("an arm-count grid needs the sweep command")
         specs = []
         for k in ks:
-            if not _is_int(k) or k < 2:
-                raise ConfigError(f"arm count must be an integer >= 2, got {k!r}")
+            if not _is_int(k) or not 2 <= k <= MAX_ARMS:
+                raise ConfigError(f"arm count must be an integer in [2, {MAX_ARMS}], got {k!r}")
             specs.append(InstanceSpec(k=k))
         return tuple(specs)
     raise ConfigError("'instance' must give explicit 'means' or k with means='uniform'")
 
 
-def _parse_plans(cfg: dict, instances: tuple[InstanceSpec, ...]) -> tuple[PlanSpec, ...]:
+def _parse_plans(cfg: dict) -> tuple[PlanSpec, ...]:
     raw = cfg.get("corruption")
     if raw is None:
         return (PlanSpec(),)
@@ -183,14 +180,6 @@ def _parse_plans(cfg: dict, instances: tuple[InstanceSpec, ...]) -> tuple[PlanSp
     per_step = raw.get("per_step_cost")
     if per_step is not None and (not _is_finite(per_step) or per_step <= 0):
         raise ConfigError("'per_step_cost' must be a finite positive number or omitted")
-    # Above the strategy's largest shift every round would under-spend. Explicit
-    # means give one instance; uniform means are checked per replication in
-    # _check_drawn_reach, once the cells and their seeds are known.
-    if per_step is not None and instances[0].means is not None:
-        reach = default_per_step_cost(make_instance(instances[0].means), strategy)
-        if per_step > reach:
-            raise ConfigError(f"'per_step_cost' {per_step!r} exceeds {reach!r}, the "
-                              f"largest shift {strategy!r} makes on these means")
     schemes = _as_list(raw.get("schemes", raw.get("scheme", "none")))
     budgets = _as_list(raw.get("budgets", raw.get("budget", 0.0)))
     if not schemes or not budgets:
@@ -240,40 +229,39 @@ def _parse_algorithms(cfg: dict) -> tuple[AlgorithmSpec, ...]:
     return tuple(specs)
 
 
-def _parse_experiment(cfg: dict, args, *, allow_grid: bool) -> ExperimentConfig:
+def _parse_experiment(cfg: dict, args) -> ExperimentConfig:
     horizon = _count(cfg, "horizon")
     reps = _count(cfg, "replications", 1)
     seed = _master_seed(cfg, args, 0)
-    per_decade = _count(cfg, "checkpoints_per_decade", 20)
-    instances = _parse_instances(cfg, allow_grid=allow_grid)
     experiment = ExperimentConfig(
-        instances=instances,
-        plans=_parse_plans(cfg, instances),
+        instances=_parse_instances(cfg),
+        plans=_parse_plans(cfg),
         algorithms=_parse_algorithms(cfg),
         horizon=horizon,
         replications=reps,
         master_seed=seed,
-        checkpoints_per_decade=per_decade,
     )
-    _check_drawn_reach(experiment)
+    _check_reach(experiment)
     return experiment
 
 
-def _check_drawn_reach(experiment: ExperimentConfig) -> None:
-    """Reject a ``per_step_cost`` above the largest shift on any drawn uniform instance.
+def _check_reach(experiment: ExperimentConfig) -> None:
+    """Reject a ``per_step_cost`` above the strategy's largest shift on any instance played.
 
-    Each replication draws its means from its episode seed, so every cell's
-    seeds are derived as ``run_batch`` derives them.
+    Above it, every scheduled round would under-spend the budget. Explicit
+    means are one instance per cell; uniform means are drawn per replication
+    from its episode seed, derived as ``run_batch`` derives it.
     """
     for cell_idx, inst, plan, _ in experiment.cells():
-        if inst.means is not None or plan.per_step_cost is None:
+        if plan.per_step_cost is None:
             continue
-        for rep, seed in enumerate(episode_seeds(experiment, cell_idx)):
+        seeds = episode_seeds(experiment, cell_idx)
+        for rep, seed in enumerate(seeds if inst.means is None else seeds[:1]):
             reach = default_per_step_cost(inst.resolve(seed), plan.strategy)
             if plan.per_step_cost > reach:
                 raise ConfigError(
                     f"'per_step_cost' {plan.per_step_cost!r} exceeds {reach!r}, the largest "
-                    f"shift {plan.strategy!r} makes on the means drawn for K={inst.k}, "
+                    f"shift {plan.strategy!r} makes on the means of K={inst.arms}, "
                     f"replication {rep} (cell {cell_idx})"
                 )
 
@@ -333,9 +321,9 @@ def write_bench_csv(path: str, rows: list[BenchRow]) -> None:
             )
 
 
-def _cmd_run(args, *, allow_grid: bool) -> int:
+def _cmd_run(args) -> int:
     cfg = _load_json(args.config, args.command)
-    experiment = _parse_experiment(cfg, args, allow_grid=allow_grid)
+    experiment = _parse_experiment(cfg, args)
     stats = run_batch(experiment, threads=args.threads)
     out = args.out
     os.makedirs(out, exist_ok=True)
@@ -361,7 +349,9 @@ def _cmd_bench(args) -> int:
             for name in ALGORITHMS
         )
     if "instance" in cfg:
-        instance = _parse_instances(cfg, allow_grid=False)[0]
+        instance, *grid = _parse_instances(cfg)
+        if grid:
+            raise ConfigError("bench times one instance; 'instance.k' must be one arm count")
     else:
         instance = InstanceSpec(means=DEFAULT_MEANS)
     rows = bench_runtime(algorithms, instance, horizon, reps=reps, master_seed=seed)
@@ -378,7 +368,7 @@ def _cmd_verify(args) -> int:
     cfg = _load_json(args.config, "verify") if args.config else {"schema_version": 1}
     means = DEFAULT_MEANS
     if "instance" in cfg:
-        means = _parse_instances(cfg, allow_grid=False)[0].means
+        means = _parse_instances(cfg)[0].means
         if means is None:
             raise ConfigError("verify instance must give explicit means")
     instance = make_instance(means)
@@ -424,11 +414,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="banditlab",
         description="Bandit simulations under budgeted reward corruption",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="JSON config file")
-    common.add_argument("--out", metavar="DIR", default="out", help="output directory")
-    common.add_argument("--seed", type=int, metavar="U64", help="override master seed")
-    common.add_argument(
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--config", metavar="PATH", help="JSON config file")
+    inputs.add_argument("--seed", type=int, metavar="U64", help="override master seed")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", metavar="DIR", default="out", help="output directory")
+    workers = argparse.ArgumentParser(add_help=False)
+    workers.add_argument(
         "--threads",
         type=int,
         metavar="N",
@@ -436,16 +428,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sub = parser.add_subparsers(dest="command", required=True)
-    run_p = sub.add_parser("run", parents=[common], help="run one experiment config")
-    run_p.set_defaults(func=lambda a: _cmd_run(a, allow_grid=False))
-    sweep_p = sub.add_parser("sweep", parents=[common], help="run a grid over K/C/scheme")
-    sweep_p.set_defaults(func=lambda a: _cmd_run(a, allow_grid=True))
-    verify_p = sub.add_parser("verify", parents=[common], help="run the analysis checks")
+    run_p = sub.add_parser(
+        "run",
+        aliases=["sweep"],
+        parents=[inputs, output, workers],
+        help="run an experiment grid over K, corruption plans and algorithms",
+    )
+    run_p.set_defaults(func=_cmd_run)
+    verify_p = sub.add_parser("verify", parents=[inputs, workers], help="run the analysis checks")
     verify_p.add_argument("--fast", action="store_true", help="reduced sample counts")
     verify_p.add_argument("--tamper-update", action="store_true", help=argparse.SUPPRESS)
     verify_p.set_defaults(func=_cmd_verify)
-    bench_p = sub.add_parser("bench", parents=[common], help="wall-clock benchmarks")
-    bench_p.set_defaults(func=_cmd_bench)
+    bench_p = sub.add_parser("bench", parents=[inputs, output], help="wall-clock benchmarks")
+    # bench times its episodes in this one process.
+    bench_p.set_defaults(func=_cmd_bench, threads=1)
     return parser
 
 

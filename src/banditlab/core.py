@@ -112,9 +112,6 @@ class Trace:
     charged, summed round by round in schedule order.
     """
 
-    instance: BanditInstance
-    algorithm: str
-    seed: int
     checkpoints: list[tuple[int, float]] = field(default_factory=list)
     realized_spend: float = 0.0
 
@@ -135,14 +132,14 @@ def ordered_column_sums(a: np.ndarray) -> np.ndarray:
     return np.add.reduce(a, axis=0) if a.shape[1] > 1 else a.cumsum(axis=0)[-1]
 
 
-def checkpoint_grid(horizon: int, *, per_decade: int = 20) -> list[int]:
-    """Geometric checkpoint rounds in [1, horizon], horizon always included."""
+def checkpoint_grid(horizon: int) -> list[int]:
+    """Geometric checkpoint rounds in [1, horizon], 20 per decade, horizon always included."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     pts = {horizon}
     k = 0
     while True:
-        t = int(round(10 ** (k / per_decade)))
+        t = int(round(10 ** (k / 20)))
         if t >= horizon:
             break
         pts.add(max(t, 1))

@@ -158,7 +158,6 @@ class ExperimentConfig:
     horizon: int
     replications: int
     master_seed: int
-    checkpoints_per_decade: int = 20
 
     def cells(self) -> list[tuple[int, InstanceSpec, PlanSpec, AlgorithmSpec]]:
         out = []
@@ -256,13 +255,7 @@ def run_episode(
             if stop in cps:
                 curve.append((stop, cum_regret))
 
-    return Trace(
-        instance=instance,
-        algorithm=getattr(policy, "name", type(policy).__name__),
-        seed=seed,
-        checkpoints=curve,
-        realized_spend=spent,
-    )
+    return Trace(checkpoints=curve, realized_spend=spent)
 
 
 def _episode_setup(instance, plan, horizon, seed, per_step_cost):
@@ -411,14 +404,8 @@ def run_lockstep(
                 curve.append((t0 + j + 1, cum_regret.tolist()))
     batch.store()
     return [
-        Trace(
-            instance=inst,
-            algorithm=getattr(pol, "name", type(pol).__name__),
-            seed=seed,
-            checkpoints=[(t, regrets[r]) for t, regrets in curve],
-            realized_spend=spent,
-        )
-        for r, (pol, inst, seed, spent) in enumerate(zip(policies, instances, seeds, spends))
+        Trace(checkpoints=[(t, regrets[r]) for t, regrets in curve], realized_spend=spent)
+        for r, spent in enumerate(spends)
     ]
 
 
@@ -440,8 +427,6 @@ class CellResult:
 
 @dataclass
 class AggregateStats:
-    master_seed: int
-    horizon: int
     cells: list[CellResult] = field(default_factory=list)
 
 
@@ -593,13 +578,15 @@ def episode_seeds(config: ExperimentConfig, cell_idx: int) -> list[int]:
 
 
 def resolve_threads(threads: int | None = None) -> int:
-    """Worker count: ``threads`` (at least 1), else ``BANDITLAB_THREADS``, else all cores.
+    """Worker count: ``threads``, else ``BANDITLAB_THREADS``, else all cores.
 
-    Raises ValueError, naming the variable, unless a set ``BANDITLAB_THREADS``
-    is a positive integer.
+    Raises ValueError unless ``threads``, if given, is a positive integer, or
+    unless a set ``BANDITLAB_THREADS`` is one (the message names the variable).
     """
     if threads is not None:
-        return max(1, int(threads))
+        if threads < 1:
+            raise ValueError(f"threads must be a positive integer, got {threads!r}")
+        return int(threads)
     env = os.environ.get("BANDITLAB_THREADS")
     if not env:
         return os.cpu_count() or 1
@@ -620,7 +607,7 @@ def run_batch(config: ExperimentConfig, *, threads: int | None = None) -> Aggreg
     """
     n_threads = resolve_threads(threads)
     reps = config.replications
-    checkpoints = checkpoint_grid(config.horizon, per_decade=config.checkpoints_per_decade)
+    checkpoints = checkpoint_grid(config.horizon)
     tasks = []
     for cell_idx, inst, plan, algo in config.cells():
         seeds = episode_seeds(config, cell_idx)
@@ -641,7 +628,7 @@ def run_batch(config: ExperimentConfig, *, threads: int | None = None) -> Aggreg
         done = [_cell_task(t) for t in tasks]
     results = [row for rows in done for row in rows]
 
-    stats = AggregateStats(master_seed=config.master_seed, horizon=config.horizon)
+    stats = AggregateStats()
     pos = 0
     for cell_idx, inst, plan, algo in config.cells():
         rows = results[pos : pos + reps]

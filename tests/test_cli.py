@@ -72,6 +72,12 @@ class TestRun:
         path.write_text("{not json")
         assert main(["run", "--config", str(path)]) == 2
 
+    def test_unreadable_config_exit_2(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"schema_version": 1, "horizon": 300, "x": "\xff"}')
+        assert main(["run", "--config", str(path)]) == 2
+        assert main(["run", "--config", str(tmp_path)]) == 2  # a directory
+
     def test_wrong_schema_version(self, tmp_path):
         cfg = write_config(tmp_path, {**BASE_CONFIG, "schema_version": 2})
         assert main(["run", "--config", cfg]) == 2
@@ -102,6 +108,9 @@ class TestRun:
                          id="checkpoints_per_decade_bool"),
             pytest.param(lambda c: c.update(instance={"k": True, "means": "uniform"}),
                          id="k_bool"),
+            # above core.MAX_ARMS the run would fail after the parse
+            pytest.param(lambda c: c.update(instance={"k": 20000, "means": "uniform"}),
+                         id="k_above_max_arms"),
             # json.load accepts NaN and Infinity
             pytest.param(lambda c: c.update(corruption={"scheme": "consecutive",
                                                         "budget": float("nan")}),
@@ -249,11 +258,21 @@ class TestRun:
         cfg = write_config(tmp_path, BASE_CONFIG)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
-    @pytest.mark.parametrize("command", ["run", "sweep", "bench"])
-    def test_fast_flag_only_for_verify(self, tmp_path, command):
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            pytest.param("run", ["--fast"], id="run-fast"),
+            pytest.param("sweep", ["--fast"], id="sweep-fast"),
+            pytest.param("bench", ["--fast"], id="bench-fast"),
+            # verify writes no files; bench runs in one process
+            pytest.param("verify", ["--out", "o"], id="verify-out"),
+            pytest.param("bench", ["--threads", "2"], id="bench-threads"),
+        ],
+    )
+    def test_flag_only_where_read(self, tmp_path, command, flag):
         cfg = write_config(tmp_path, BASE_CONFIG)
         with pytest.raises(SystemExit) as exc:
-            main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--fast"])
+            main([command, "--config", cfg, *flag])
         assert exc.value.code == 2
 
     def test_budget_exceeding_capacity_exit_2(self, tmp_path):
@@ -270,10 +289,13 @@ class TestRun:
         argv = ["run", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "2"]
         assert main(argv) == 2
 
-    def test_k_grid_requires_sweep(self, tmp_path):
+    def test_sweep_is_run(self, tmp_path):
         payload = {**BASE_CONFIG, "instance": {"k": [4, 6], "means": "uniform"}}
         cfg = write_config(tmp_path, payload)
-        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        for command in ("run", "sweep"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
+        for name in ("results.csv", "curves.csv"):
+            assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "sweep" / name).read_bytes()
 
     def test_seed_override_changes_rows(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG)
@@ -463,6 +485,7 @@ class TestBench:
             pytest.param({"algorithms": [{"algorithm": "samba", "label": "a,b"}]},
                          id="label_comma"),
             pytest.param({"horizn": 100}, id="unknown_key"),
+            pytest.param({"instance": {"k": [4, 6], "means": "uniform"}}, id="k_grid"),
         ],
     )
     def test_bad_config_exit_2(self, tmp_path, extra):
@@ -602,14 +625,15 @@ class TestCommandKeys:
             ("bench", "checkpoints_per_decade", 20),
             ("bench", "alpha", 0.05),
             ("run", "alpha", 0.05),
+            ("run", "checkpoints_per_decade", 20),
             ("sweep", "alpha", 0.05),
         ],
     )
     def test_unread_key_exit_2(self, tmp_path, capsys, command, key, value):
         base = {"verify": VERIFY_CONFIG, "bench": BENCH_CONFIG}.get(command, BASE_CONFIG)
         cfg = write_config(tmp_path, {**base, key: value})
-        argv = [command, "--config", cfg, "--out", str(tmp_path / "o")]
-        assert main(argv + (["--fast"] if command == "verify" else [])) == 2
+        flags = ["--fast"] if command == "verify" else ["--out", str(tmp_path / "o")]
+        assert main([command, "--config", cfg, *flags]) == 2
         err = capsys.readouterr().err
         assert repr(key) in err and repr(command) in err
 
@@ -621,10 +645,10 @@ class TestCommandKeys:
         path = pathlib.Path(__file__).parent.parent / "configs" / f"{name}.json"
         cfg = _load_json(str(path), command)
         if command == "verify":
-            assert _parse_instances(cfg, allow_grid=False)[0].means is not None
+            assert _parse_instances(cfg)[0].means is not None
         else:
             args = argparse.Namespace(seed=None)
-            assert _parse_experiment(cfg, args, allow_grid=command == "sweep").cells()
+            assert _parse_experiment(cfg, args).cells()
 
 
 class TestProcessLevel:

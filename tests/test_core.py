@@ -68,7 +68,7 @@ class TestMakeInstance:
 
 class TestTrace:
     def _trace(self, **over):
-        return Trace(instance=make_instance((0.9, 0.5)), algorithm="samba", seed=1, **over)
+        return Trace(**over)
 
     def test_spent(self):
         assert self._trace(realized_spend=2.0).spent() == 2.0
@@ -87,7 +87,7 @@ class TestCheckpointGrid:
         assert grid == sorted(set(grid))
 
     def test_density_about_per_decade(self):
-        grid = checkpoint_grid(100_000, per_decade=20)
+        grid = checkpoint_grid(100_000)
         # 5 decades at <=20 points each, plus endpoint; rounding collapses
         # some early points so the count is below the nominal 101
         assert 60 <= len(grid) <= 101

@@ -163,7 +163,7 @@ class TestRunEpisode:
         tr, rec = self._run()
         t_last, regret_last = tr.checkpoints[-1]
         assert t_last == 400
-        gaps = np.asarray(tr.instance.gaps)
+        gaps = np.asarray(make_instance((0.2, 0.5, 0.9)).gaps)
         assert regret_last == pytest.approx(float(gaps[rec.arms].sum()))
 
     def test_corruption_stream_isolated_from_policy(self, resolved_tables):
@@ -180,9 +180,6 @@ class TestRunEpisode:
         assert table_a == table_b
         assert tr_a.spent() == tr_b.spent()
         assert tr_a.spent() > 0
-
-    def test_records_algorithm_name(self):
-        assert self._run()[0].algorithm == "samba"
 
     @pytest.mark.parametrize(
         "scheme, budget, horizon",
@@ -466,8 +463,10 @@ class TestResolveThreads:
         monkeypatch.setenv("BANDITLAB_THREADS", "5")
         assert resolve_threads(None) == 5
 
-    def test_floor_of_one(self):
-        assert resolve_threads(0) == 1
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_below_one_raises(self, threads):
+        with pytest.raises(ValueError):
+            resolve_threads(threads)
 
     @pytest.mark.parametrize("value", ["0", "-2", "abc", "1.5"])
     def test_bad_env_raises(self, monkeypatch, value):
