@@ -29,7 +29,7 @@ import numpy as np
 
 from .core import BanditInstance, BanditLabError
 
-SCHEMES = ("none", "consecutive", "even_steps", "delayed_block", "random_early", "custom")
+SCHEMES = ("none", "consecutive", "even_steps", "delayed_block", "random_early")
 STRATEGIES = ("suppress_optimal", "swap_extremes")
 
 
@@ -46,23 +46,22 @@ class CorruptionPlan:
         "even_steps"   — rounds 0, 2, 4, ...
         "delayed_block"— consecutive rounds starting at horizon // 4
         "random_early" — n distinct rounds drawn from the first tenth
-        "custom"       — explicit rounds, caller-controlled
     budget : float
-        Total corruption budget C >= 0.
+        Total corruption budget C >= 0. Scheme "none" and budget 0 each
+        schedule nothing, so a plan may give either; ``engine.PlanSpec``,
+        which labels output rows, requires both together. Explicit rounds
+        go straight into a :class:`CorruptionLedger`'s ``schedule``.
     strategy : one of STRATEGIES
         "suppress_optimal" pushes the best arm's mean toward 0;
         "swap_extremes" additionally pushes the worst arm's mean toward 1.
     horizon : int
         Number of rounds T the schedule must fit into.
-    custom_rounds : tuple of int
-        Only used by scheme "custom".
     """
 
     scheme: str
     budget: float
     strategy: str = "suppress_optimal"
     horizon: int = 0
-    custom_rounds: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -103,16 +102,6 @@ def build_schedule(
         raise ValueError(f"per_step_cost must be > 0, got {per_step_cost}")
     n = math.ceil(plan.budget / per_step_cost)
     t_max = plan.horizon
-
-    if plan.scheme == "custom":
-        rounds = tuple(sorted(int(t) for t in plan.custom_rounds))
-        if rounds and (rounds[0] < 0 or rounds[-1] >= t_max):
-            raise BudgetExceedsHorizonCapacity(
-                f"custom round outside horizon {t_max}: {rounds}"
-            )
-        if len(set(rounds)) != len(rounds):
-            raise ValueError("custom rounds must be distinct")
-        return rounds
 
     if plan.scheme == "consecutive":
         if n > t_max:

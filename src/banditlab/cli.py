@@ -3,7 +3,8 @@
 Subcommands: ``run`` (an experiment grid over arm counts, corruption plans
 and algorithms; ``sweep`` is another name for it), ``verify`` (analysis
 property suite), ``bench`` (wall-clock table). Each command takes only the
-flags and top-level config keys it reads. All outputs are deterministic
+flags and top-level config keys it reads. A corruption grid has one clean
+plan, ``none``/0, ahead of its corrupted ones. All outputs are deterministic
 functions of the config and master seed: floats are serialized with 17
 significant digits independent of locale, rows in fixed cell/replication
 order, and the manifest records a hash of the canonicalized config so re-runs
@@ -49,8 +50,6 @@ from .verify import SuiteSizes, TamperedLockstep, run_verification_suite
 RESULTS_COLUMNS = "algorithm,scheme,corruption_level,K,mean_regret,sd_regret,replications,seed"
 CURVES_COLUMNS = "algorithm,scheme,corruption_level,t,mean_regret,sd_regret"
 BENCH_COLUMNS = "algorithm,mean_s,sd_s,step_ratio"
-# "custom" needs explicit rounds, which only the library API can pass.
-CONFIG_SCHEMES = tuple(s for s in SCHEMES if s != "custom")
 # The top-level keys each command reads; any other key is an error.
 RUN_KEYS = {
     "schema_version", "horizon", "replications", "master_seed", "instance", "algorithms", "corruption",
@@ -59,7 +58,7 @@ BENCH_KEYS = {"schema_version", "horizon", "replications", "master_seed", "insta
 VERIFY_KEYS = {"schema_version", "master_seed", "instance", "alpha"}
 COMMAND_KEYS = {"run": RUN_KEYS, "sweep": RUN_KEYS, "bench": BENCH_KEYS, "verify": VERIFY_KEYS}
 INSTANCE_KEYS = {"means", "k"}
-CORRUPTION_KEYS = {"scheme", "schemes", "budget", "budgets", "strategy", "per_step_cost"}
+CORRUPTION_KEYS = {"schemes", "budgets", "strategy", "per_step_cost"}
 ALGORITHM_KEYS = {"algorithm", "params", "label"}
 # The instance bench and verify use when the config gives none.
 DEFAULT_MEANS = tuple(i / 10 for i in range(1, 10))
@@ -165,41 +164,42 @@ def _parse_instances(cfg: dict) -> tuple[InstanceSpec, ...]:
 
 
 def _parse_plans(cfg: dict) -> tuple[PlanSpec, ...]:
+    """The clean plan ``none``/0 first, then the other schemes x the other budgets.
+
+    Scheme ``none`` or budget 0 asks for the clean plan. An entry that makes no cell is an error.
+    """
     raw = cfg.get("corruption")
     if raw is None:
         return (PlanSpec(),)
     if not isinstance(raw, dict):
         raise ConfigError("'corruption' must be an object")
     _check_keys(raw, CORRUPTION_KEYS, "'corruption'")
-    for one, many in (("scheme", "schemes"), ("budget", "budgets")):
-        if one in raw and many in raw:
-            raise ConfigError(f"'corruption' gives both {one!r} and {many!r}")
+    schemes, budgets = raw.get("schemes"), raw.get("budgets")
+    if not (isinstance(schemes, list) and schemes and isinstance(budgets, list) and budgets):
+        raise ConfigError("'corruption' needs non-empty 'schemes' and 'budgets' lists")
+    for scheme in schemes:
+        if scheme not in SCHEMES:
+            raise ConfigError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
+    for budget in budgets:
+        if not _is_finite(budget) or budget < 0:
+            raise ConfigError(f"budget must be a finite number >= 0, got {budget!r}")
+    attacks = [s for s in schemes if s != "none"]
+    levels = [float(b) for b in budgets if b > 0]
+    if levels and not attacks:
+        raise ConfigError(f"budget {levels[0]!r} has no scheme but 'none' to play it")
+    if attacks and not levels:
+        raise ConfigError(f"scheme {attacks[0]!r} has no budget above 0 to play")
+    if not attacks and ("strategy" in raw or "per_step_cost" in raw):
+        raise ConfigError("'strategy' and 'per_step_cost' need a corrupted cell")
     strategy = raw.get("strategy", "suppress_optimal")
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
     per_step = raw.get("per_step_cost")
     if per_step is not None and (not _is_finite(per_step) or per_step <= 0):
         raise ConfigError("'per_step_cost' must be a finite positive number or omitted")
-    schemes = _as_list(raw.get("schemes", raw.get("scheme", "none")))
-    budgets = _as_list(raw.get("budgets", raw.get("budget", 0.0)))
-    if not schemes or not budgets:
-        raise ConfigError("corruption grid is empty")
-    plans = []
-    for scheme in schemes:
-        if scheme not in CONFIG_SCHEMES:
-            raise ConfigError(f"unknown scheme {scheme!r}, expected one of {CONFIG_SCHEMES}")
-        for budget in budgets:
-            if not _is_finite(budget) or budget < 0:
-                raise ConfigError(f"budget must be a finite number >= 0, got {budget!r}")
-            plans.append(
-                PlanSpec(
-                    scheme=scheme,
-                    budget=float(budget),
-                    strategy=strategy,
-                    per_step_cost=None if per_step is None else float(per_step),
-                )
-            )
-    return tuple(plans)
+    per_step = None if per_step is None else float(per_step)
+    clean = (PlanSpec(),) if "none" in schemes or 0 in budgets else ()
+    return clean + tuple(PlanSpec(s, b, strategy, per_step) for s in attacks for b in levels)
 
 
 def _parse_algorithms(cfg: dict) -> tuple[AlgorithmSpec, ...]:

@@ -116,12 +116,20 @@ class InstanceSpec:
 
 @dataclass(frozen=True)
 class PlanSpec:
-    """Corruption plan minus the horizon (bound at run time)."""
+    """Corruption plan minus the horizon (bound at run time).
+
+    The scheme and budget label a cell's rows, so the clean plan is
+    ``none``/0 and every other scheme has a budget above 0.
+    """
 
     scheme: str = "none"
     budget: float = 0.0
     strategy: str = "suppress_optimal"
     per_step_cost: float | None = None
+
+    def __post_init__(self):
+        if (self.scheme == "none") != (self.budget == 0.0):
+            raise ValueError(f"scheme {self.scheme!r} at budget {self.budget!r} plays no corruption")
 
     def bind(self, horizon: int) -> CorruptionPlan:
         return CorruptionPlan(

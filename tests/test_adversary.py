@@ -7,6 +7,7 @@ import pytest
 from banditlab.adversary import (
     STRATEGIES,
     BudgetExceedsHorizonCapacity,
+    CorruptionLedger,
     CorruptionPlan,
     apply_corruption,
     build_schedule,
@@ -85,20 +86,6 @@ class TestBuildSchedule:
     def test_random_early_deterministic_per_seed(self):
         plan = CorruptionPlan(scheme="random_early", budget=90.0, horizon=10_000)
         assert build_schedule(plan, 0.9, rng(7)) == build_schedule(plan, 0.9, rng(7))
-
-    def test_custom_rounds_passthrough(self):
-        plan = CorruptionPlan(
-            scheme="custom", budget=2.0, horizon=50, custom_rounds=(9, 3, 30)
-        )
-        assert build_schedule(plan, 0.9) == (3, 9, 30)
-
-    def test_custom_rejects_duplicates_and_overflow(self):
-        plan = CorruptionPlan(scheme="custom", budget=2.0, horizon=50, custom_rounds=(3, 3))
-        with pytest.raises(ValueError):
-            build_schedule(plan, 0.9)
-        plan = CorruptionPlan(scheme="custom", budget=2.0, horizon=50, custom_rounds=(50,))
-        with pytest.raises(BudgetExceedsHorizonCapacity):
-            build_schedule(plan, 0.9)
 
     def test_zero_budget_empty(self):
         plan = CorruptionPlan(scheme="consecutive", budget=0.0, horizon=100)
@@ -275,13 +262,16 @@ def uniform_instances():
 class TestChargeMatchesScalarLoop:
     """The run-at-a-time charge equals the per-round loop bit for bit."""
 
-    def _ledgers(self, instance, plan, per_step_cost, seed=5):
+    def _ledgers(self, instance, plan, per_step_cost, schedule=None, seed=5):
+        # An explicit schedule plays those rounds in place of the plan's scheme.
+        if schedule is not None:
+            return [CorruptionLedger(plan, per_step_cost, schedule) for _ in range(2)]
         return [
             make_ledger(instance, plan, per_step_cost, rng(seed)) for _ in range(2)
         ]
 
-    def _check_resolve(self, instance, plan, per_step_cost):
-        led, ref = self._ledgers(instance, plan, per_step_cost)
+    def _check_resolve(self, instance, plan, per_step_cost, schedule=None):
+        led, ref = self._ledgers(instance, plan, per_step_cost, schedule)
         want = reference_charge(instance, ref, ref.schedule)
         runs = resolve_corruption_runs(instance, led)
         per_round = {t: (means, cost) for rounds, means, cost in runs for t in rounds}
@@ -291,7 +281,7 @@ class TestChargeMatchesScalarLoop:
         flat = [t for rounds, _, _ in runs for t in rounds]
         assert flat == list(want)
         # The apply_corruption loop over the schedule charges the same rounds.
-        led, _ = self._ledgers(instance, plan, per_step_cost)
+        led, _ = self._ledgers(instance, plan, per_step_cost, schedule)
         loop = {t: hit for t in led.schedule if (hit := apply_corruption(instance, led, t))[1]}
         assert bits(loop) == bits(want)
         assert led.spent.hex() == ref.spent.hex()
@@ -321,19 +311,15 @@ class TestChargeMatchesScalarLoop:
     def test_clipped_uniform_means(self, strategy, per_step_cost):
         # per_step_cost above the strategy's reach: every shift clips, so the
         # budget outlasts the ceil(budget / cost) rounds a scheme schedules.
-        # Custom rounds run past that point, into the partial shifts.
+        # An explicit schedule runs past that point, into the partial shifts.
         distinct = set()
         for instance in uniform_instances():
             for budget in (3.0, 7.3):
-                for scheme in ("consecutive", "custom"):
-                    plan = CorruptionPlan(
-                        scheme=scheme,
-                        budget=budget,
-                        strategy=strategy,
-                        horizon=400,
-                        custom_rounds=tuple(range(3, 400, 7)),
-                    )
-                    want = self._check_resolve(instance, plan, per_step_cost)
+                plan = CorruptionPlan(
+                    scheme="consecutive", budget=budget, strategy=strategy, horizon=400
+                )
+                for schedule in (None, tuple(range(3, 400, 7))):
+                    want = self._check_resolve(instance, plan, per_step_cost, schedule)
                     distinct.update(means for means, _ in want.values())
         assert len(distinct) > 2 * len(uniform_instances())
 
@@ -341,15 +327,9 @@ class TestChargeMatchesScalarLoop:
     @pytest.mark.parametrize("per_step_cost", [0.25, 0.9, 1.5])
     @pytest.mark.parametrize("start", [0.0, 0.35, 2.6, 7.3])
     def test_one_round_calls_from_nonzero_spend(self, strategy, per_step_cost, start):
-        plan = CorruptionPlan(
-            scheme="custom",
-            budget=7.3,
-            strategy=strategy,
-            horizon=100,
-            custom_rounds=tuple(range(0, 100, 3)),
-        )
+        plan = CorruptionPlan(scheme="consecutive", budget=7.3, strategy=strategy, horizon=100)
         for instance in [ladder_instance(), *uniform_instances()]:
-            led, ref = self._ledgers(instance, plan, per_step_cost)
+            led, ref = self._ledgers(instance, plan, per_step_cost, tuple(range(0, 100, 3)))
             led.spent = ref.spent = start
             for t in range(100):
                 got = apply_corruption(instance, led, t)
@@ -369,16 +349,6 @@ def reference_schedule(plan, per_step_cost, rng=None):
         raise ValueError(f"per_step_cost must be > 0, got {per_step_cost}")
     n = math.ceil(plan.budget / per_step_cost)
     t_max = plan.horizon
-
-    if plan.scheme == "custom":
-        rounds = tuple(sorted(int(t) for t in plan.custom_rounds))
-        if rounds and (rounds[0] < 0 or rounds[-1] >= t_max):
-            raise BudgetExceedsHorizonCapacity(
-                f"custom round outside horizon {t_max}: {rounds}"
-            )
-        if len(set(rounds)) != len(rounds):
-            raise ValueError("custom rounds must be distinct")
-        return rounds
 
     if plan.scheme == "consecutive":
         if n > t_max:
@@ -468,7 +438,6 @@ class TestRangeScheduleMatchesTuples:
     def test_other_schemes_stay_tuples(self):
         for plan in (
             CorruptionPlan(scheme="random_early", budget=9.0, horizon=1000),
-            CorruptionPlan(scheme="custom", budget=2.0, horizon=50, custom_rounds=(9, 3, 30)),
             CorruptionPlan(scheme="none", budget=5.0, horizon=50),
         ):
             got = build_schedule(plan, 0.9, rng(4))

@@ -45,7 +45,7 @@ class TestRun:
         assert main(["run", "--config", cfg, "--out", str(out)]) == 0
         header, rows = read_rows(out / "results.csv")
         assert header == "algorithm,scheme,corruption_level,K,mean_regret,sd_regret,replications,seed"
-        assert len(rows) == 4  # 2 schemes x 2 budgets x 1 algorithm
+        assert len(rows) == 2  # the clean cell, then consecutive at 5
         first = rows[0].split(",")
         assert first[0] == "samba"
         assert first[3] == "3"
@@ -60,6 +60,23 @@ class TestRun:
         assert manifest["python"] == "{}.{}.{}".format(*sys.version_info[:3])
         assert manifest["numpy"] == np.__version__
         assert manifest["platform"] == f"{sys.platform}-{platform.machine()}"
+
+    def test_one_clean_row_per_algorithm_first(self, tmp_path):
+        # configs/quickstart.json's grid: scheme none and budget 0 name one
+        # clean cell, played first, so no row reports corruption never played
+        payload = {**BASE_CONFIG, "horizon": 2000,
+                   "algorithms": [{"algorithm": "samba", "params": {"alpha": 0.05}},
+                                  {"algorithm": "tsallis_inf"}],
+                   "corruption": {"schemes": ["none", "consecutive"], "budgets": [0, 500]}}
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+        _, rows = read_rows(out / "results.csv")
+        assert [tuple(row.split(",")[:3]) for row in rows] == [
+            ("samba", "none", "0"),
+            ("tsallis_inf", "none", "0"),
+            ("samba", "consecutive", "500"),
+            ("tsallis_inf", "consecutive", "500"),
+        ]
 
     def test_missing_config_flag(self, capsys):
         assert main(["run"]) == 2
@@ -91,40 +108,38 @@ class TestRun:
             lambda c: c.update(replications=0),
             lambda c: c.update(instance={"means": [0.5]}),
             lambda c: c.update(instance={"means": [0.5, 1.7]}),
-            lambda c: c.update(corruption={"scheme": "midnight", "budget": 5}),
-            lambda c: c.update(corruption={"scheme": "consecutive", "budget": -2}),
+            lambda c: c.update(corruption={"schemes": ["midnight"], "budgets": [5]}),
+            lambda c: c.update(corruption={"schemes": ["consecutive"], "budgets": [-2]}),
             lambda c: c.update(corruption={"schemes": [], "budgets": [5]}),
             lambda c: c.update(master_seed=-1),
             lambda c: c.update(master_seed=2**64),
-            # a config cannot carry custom_rounds: it would run uncorrupted
-            # while results.csv reports the budget
-            pytest.param(lambda c: c.update(corruption={"scheme": "custom", "budget": 5}),
+            # explicit rounds go only into a library CorruptionLedger: custom
+            # is not a scheme
+            pytest.param(lambda c: c.update(corruption={"schemes": ["custom"], "budgets": [5]}),
                          id="custom_scheme"),
             # JSON true/false load as Python ints
             pytest.param(lambda c: c.update(horizon=True), id="horizon_bool"),
             pytest.param(lambda c: c.update(replications=True), id="replications_bool"),
             pytest.param(lambda c: c.update(master_seed=True), id="master_seed_bool"),
-            pytest.param(lambda c: c.update(checkpoints_per_decade=True),
-                         id="checkpoints_per_decade_bool"),
             pytest.param(lambda c: c.update(instance={"k": True, "means": "uniform"}),
                          id="k_bool"),
             # above core.MAX_ARMS the run would fail after the parse
             pytest.param(lambda c: c.update(instance={"k": 20000, "means": "uniform"}),
                          id="k_above_max_arms"),
             # json.load accepts NaN and Infinity
-            pytest.param(lambda c: c.update(corruption={"scheme": "consecutive",
-                                                        "budget": float("nan")}),
+            pytest.param(lambda c: c.update(corruption={"schemes": ["consecutive"],
+                                                        "budgets": [float("nan")]}),
                          id="budget_nan"),
-            pytest.param(lambda c: c.update(corruption={"scheme": "consecutive",
-                                                        "budget": float("inf")}),
+            pytest.param(lambda c: c.update(corruption={"schemes": ["consecutive"],
+                                                        "budgets": [float("inf")]}),
                          id="budget_inf"),
-            pytest.param(lambda c: c.update(corruption={"scheme": "consecutive",
-                                                        "budget": 10**400}),
+            pytest.param(lambda c: c.update(corruption={"schemes": ["consecutive"],
+                                                        "budgets": [10**400]}),
                          id="budget_beyond_float"),
-            pytest.param(lambda c: c.update(corruption={"scheme": "consecutive", "budget": 5,
+            pytest.param(lambda c: c.update(corruption={"schemes": ["consecutive"], "budgets": [5],
                                                         "per_step_cost": float("nan")}),
                          id="per_step_cost_nan"),
-            pytest.param(lambda c: c.update(corruption={"scheme": "consecutive", "budget": 5,
+            pytest.param(lambda c: c.update(corruption={"schemes": ["consecutive"], "budgets": [5],
                                                         "per_step_cost": float("inf")}),
                          id="per_step_cost_inf"),
             # policy params are checked against the constructors before any run
@@ -150,13 +165,13 @@ class TestRun:
             # swap_extremes can shift at most max(0.9, 1 - 0.2) = 0.9 per round:
             # a larger per-step cost would spend 3.6 of a budget of 6
             pytest.param(lambda c: c.update(instance={"means": [0.2, 0.9]},
-                                            corruption={"scheme": "consecutive", "budget": 6,
+                                            corruption={"schemes": ["consecutive"], "budgets": [6],
                                                         "strategy": "swap_extremes",
                                                         "per_step_cost": 1.5}),
                          id="per_step_cost_above_reach"),
             # uniform means: every replication's drawn instance must be reachable
             pytest.param(lambda c: c.update(instance={"k": 4, "means": "uniform"},
-                                            corruption={"scheme": "consecutive", "budget": 5,
+                                            corruption={"schemes": ["consecutive"], "budgets": [5],
                                                         "per_step_cost": 0.999}),
                          id="per_step_cost_above_drawn_reach"),
             # every mean must be a finite JSON number; true would run as 1.0
@@ -193,7 +208,7 @@ class TestRun:
             pytest.param(lambda c: c.update(horizn=500), id="unknown_top_level_key"),
             pytest.param(lambda c: c.update(instance={"means": [0.2, 0.9], "mean": [0.5, 0.6]}),
                          id="unknown_instance_key"),
-            pytest.param(lambda c: c.update(corruption={"scheme": "consecutive", "budget": 5,
+            pytest.param(lambda c: c.update(corruption={"schemes": ["consecutive"], "budgets": [5],
                                                         "stratgy": "swap_extremes"}),
                          id="unknown_corruption_key"),
             pytest.param(lambda c: c.update(algorithms=[{"algorithm": "samba",
@@ -201,13 +216,24 @@ class TestRun:
                          id="unknown_algorithm_key"),
             pytest.param(lambda c: c.update(instance={"means": [0.2, 0.9], "k": 5}),
                          id="k_with_explicit_means"),
-            # the plural would silently win
-            pytest.param(lambda c: c.update(corruption={"scheme": "consecutive",
-                                                        "schemes": ["even_steps"], "budget": 5}),
-                         id="scheme_and_schemes"),
-            pytest.param(lambda c: c.update(corruption={"scheme": "consecutive", "budget": 5,
-                                                        "budgets": [10]}),
-                         id="budget_and_budgets"),
+            # a grid is written one way: lists under the plural keys
+            pytest.param(lambda c: c.update(corruption={"scheme": "consecutive", "budget": 5}),
+                         id="singular_keys_unknown"),
+            pytest.param(lambda c: c.update(corruption={"schemes": "consecutive", "budgets": [5]}),
+                         id="schemes_scalar"),
+            pytest.param(lambda c: c.update(corruption={"schemes": ["consecutive"], "budgets": 5}),
+                         id="budgets_scalar"),
+            # an entry that makes no cell: rows would report corruption never played
+            pytest.param(lambda c: c.update(corruption={"schemes": ["none"], "budgets": [500]}),
+                         id="budget_without_scheme"),
+            pytest.param(lambda c: c.update(corruption={"schemes": ["consecutive"], "budgets": [0]}),
+                         id="scheme_without_budget"),
+            pytest.param(lambda c: c.update(corruption={"schemes": ["none"], "budgets": [0],
+                                                        "per_step_cost": 0.5}),
+                         id="per_step_cost_without_corrupted_cell"),
+            pytest.param(lambda c: c.update(corruption={"schemes": ["none"], "budgets": [0],
+                                                        "strategy": "swap_extremes"}),
+                         id="strategy_without_corrupted_cell"),
         ],
     )
     def test_config_errors_exit_2(self, tmp_path, mutate):
@@ -218,32 +244,31 @@ class TestRun:
 
     def test_per_step_cost_at_reach_runs(self, tmp_path):
         payload = {**BASE_CONFIG, "instance": {"means": [0.2, 0.9]},
-                   "corruption": {"scheme": "consecutive", "budget": 6,
+                   "corruption": {"schemes": ["consecutive"], "budgets": [6],
                                   "strategy": "swap_extremes", "per_step_cost": 0.9}}
         cfg = write_config(tmp_path, payload)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
     def test_drawn_reach_names_first_failing_replication(self, tmp_path, capsys):
         payload = {**BASE_CONFIG, "replications": 6, "instance": {"k": 3, "means": "uniform"},
-                   "corruption": {"schemes": ["none", "consecutive"], "budget": 5,
+                   "corruption": {"schemes": ["none", "consecutive"], "budgets": [5],
                                   "per_step_cost": 0.8}}
         cfg = write_config(tmp_path, payload)
-        # suppress_optimal shifts at most the best drawn mean; cells run
-        # plans in order, each with seeds cell * replications + rep
+        # suppress_optimal shifts at most the best drawn mean. Cell 0 is the
+        # clean cell, which has no per-step cost; cell 1 plays consecutive,
+        # with seeds 1 * replications + rep
         failing = [
-            (cell, rep)
-            for cell in range(2)
-            for rep in range(6)
-            if max(InstanceSpec(k=3).resolve(split_seed(42, cell * 6 + rep)).means) < 0.8
+            rep for rep in range(6)
+            if max(InstanceSpec(k=3).resolve(split_seed(42, 6 + rep)).means) < 0.8
         ]
         assert failing
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        cell, rep = failing[0]
-        assert f"K=3, replication {rep} (cell {cell})" in capsys.readouterr().err
+        assert f"K=3, replication {failing[0]} (cell 1)" in capsys.readouterr().err
 
     def test_per_step_cost_within_drawn_reach_runs(self, tmp_path):
         payload = {**BASE_CONFIG, "instance": {"k": 3, "means": "uniform"},
-                   "corruption": {"scheme": "consecutive", "budget": 5, "per_step_cost": 0.05}}
+                   "corruption": {"schemes": ["consecutive"], "budgets": [5],
+                                  "per_step_cost": 0.05}}
         cfg = write_config(tmp_path, payload)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
@@ -277,14 +302,14 @@ class TestRun:
 
     def test_budget_exceeding_capacity_exit_2(self, tmp_path):
         payload = {**BASE_CONFIG, "horizon": 100,
-                   "corruption": {"scheme": "consecutive", "budget": 200}}
+                   "corruption": {"schemes": ["consecutive"], "budgets": [200]}}
         cfg = write_config(tmp_path, payload)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
     def test_budget_exceeding_capacity_in_a_worker_exit_2(self, tmp_path):
         # Two tasks of four episodes, so at two workers the error is raised in a worker.
         payload = {**BASE_CONFIG, "horizon": 100, "replications": 8,
-                   "corruption": {"scheme": "consecutive", "budget": 200}}
+                   "corruption": {"schemes": ["consecutive"], "budgets": [200]}}
         cfg = write_config(tmp_path, payload)
         argv = ["run", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "2"]
         assert main(argv) == 2
@@ -386,12 +411,12 @@ GOLDEN_CONFIGS = {
 # updates them and says why in CHANGES.md.
 GOLDEN_DIGESTS = {
     "lockstep": (
-        "a35fcbc51c9b2fb3284e5ca7ef80e581852b5622ba20af5526c1c9f4e7df0ed5",
-        "7f4d83a4d0e8998c2e30c4ed156579393614998147676e0e8091c6da69939098",
+        "871d15a26b4bf71cf6fa7ba9237f295070b237b5f7ace581c9dca878bd860d49",
+        "3adc847f8e5221452fc221d6fb4c7eefe323ee668f09df1f76fc908e0e4b4cf5",
     ),
     "per_round": (
-        "a7800c8b9c50dec35a9746999e45d38628b25cc35c3548e3a23afe6d210ed23d",
-        "9ee90bb28a2caa54512f60446367bb42daa4002954347a3159a8290da55b1fc0",
+        "e2cdd123a5addd575706ae810077e3b2305e6fc3a5b3bf7e0c6a817c4219a3dc",
+        "ffbf1eadcb4aa2238403684ddea6b18df28f86a8a08d10c2795513a446724f0b",
     ),
 }
 
@@ -619,9 +644,9 @@ class TestCommandKeys:
             ("verify", "horizon", 500),
             ("verify", "replications", 2),
             ("verify", "algorithms", [{"algorithm": "samba"}]),
-            ("verify", "corruption", {"scheme": "consecutive", "budget": 5}),
+            ("verify", "corruption", {"schemes": ["consecutive"], "budgets": [5]}),
             ("verify", "checkpoints_per_decade", 20),
-            ("bench", "corruption", {"scheme": "consecutive", "budget": 5}),
+            ("bench", "corruption", {"schemes": ["consecutive"], "budgets": [5]}),
             ("bench", "checkpoints_per_decade", 20),
             ("bench", "alpha", 0.05),
             ("run", "alpha", 0.05),

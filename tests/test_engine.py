@@ -50,6 +50,14 @@ def small_config(**over):
     return ExperimentConfig(**base)
 
 
+class TestPlanSpec:
+    @pytest.mark.parametrize("scheme, budget", [("none", 3.0), ("consecutive", 0.0)])
+    def test_label_must_match_played_corruption(self, scheme, budget):
+        # Either plan plays nothing, so its rows would report corruption never played.
+        with pytest.raises(ValueError):
+            PlanSpec(scheme, budget)
+
+
 class TestSplitSeed:
     def test_distinct_over_many_indexes(self):
         master = 123456789
@@ -247,11 +255,7 @@ class TestResolvedCorruptionMatchesPerRoundLoop:
     def test_identical_episodes(self, scheme, strategy, budget, per_step_cost, resolved_tables):
         instance = make_instance(self.MEANS)
         plan = CorruptionPlan(
-            scheme=scheme,
-            budget=budget,
-            strategy=strategy,
-            horizon=self.HORIZON,
-            custom_rounds=tuple(range(7, self.HORIZON, 11)),
+            scheme=scheme, budget=budget, strategy=strategy, horizon=self.HORIZON
         )
         checkpoints = checkpoint_grid(self.HORIZON)
         for algorithm, params in (("samba", {"alpha": 0.05}), ("barbar", {})):
