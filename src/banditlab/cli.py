@@ -3,12 +3,12 @@
 Subcommands: ``run`` (an experiment grid over arm counts, corruption plans
 and algorithms; ``sweep`` is another name for it), ``verify`` (analysis
 property suite), ``bench`` (wall-clock table). Each command takes only the
-flags and top-level config keys it reads. A corruption grid has one clean
-plan, ``none``/0, ahead of its corrupted ones. All outputs are deterministic
-functions of the config and master seed: floats are serialized with 17
-significant digits independent of locale, rows in fixed cell/replication
-order, and the manifest records a hash of the canonicalized config so re-runs
-can be matched to their inputs.
+flags and top-level config keys it reads. A corruption grid has at most one
+clean plan, ``none``/0, ahead of its corrupted ones. All outputs are
+deterministic functions of the config and master seed: floats are serialized
+with 17 significant digits independent of locale, rows in fixed
+cell/replication order, and the manifest records a hash of the canonicalized
+config so re-runs can be matched to their inputs.
 
 Exit codes: 0 success, 1 a verification check failed or could not be set
 up, 2 config error, 3 runtime failure.
