@@ -223,6 +223,8 @@ class TestRun:
                          id="schemes_scalar"),
             pytest.param(lambda c: c.update(corruption={"schemes": ["consecutive"], "budgets": 5}),
                          id="budgets_scalar"),
+            pytest.param(lambda c: c.update(corruption={"schemes": ["consecutive"], "budgets": []}),
+                         id="budgets_empty"),
             # an entry that makes no cell: rows would report corruption never played
             pytest.param(lambda c: c.update(corruption={"schemes": ["none"], "budgets": [500]}),
                          id="budget_without_scheme"),
