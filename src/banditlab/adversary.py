@@ -156,9 +156,6 @@ class CorruptionLedger:
         # Built on the first per-round lookup; the engine's resolve pass never needs it.
         return frozenset(self.schedule)
 
-    def remaining(self) -> float:
-        return self.plan.budget - self.spent
-
 
 def make_ledger(
     instance: BanditInstance,

@@ -370,22 +370,6 @@ def _solve_weight_scales(z: np.ndarray, eta: float, y0: np.ndarray | None) -> np
     raise NoConvergence(f"weight normalization stalled (eta={eta}, K={k})")
 
 
-def tsallis_solve_normalization(losses, eta: float) -> np.ndarray:
-    """Simplex weights w_a = 4 / (eta * (L_a - x))^2 with scalar x < min(L).
-
-    x is the Lagrange normalizer; smaller cumulative loss means a smaller
-    (L_a - x) and therefore a larger weight. |sum(w) - 1| <= 1e-10 on return.
-    """
-    if eta <= 0:
-        raise ValueError(f"eta must be > 0, got {eta}")
-    vals = [float(v) for v in losses]
-    base = min(vals)
-    z = [v - base for v in vals]
-    y = _solve_weight_scale(z, eta)
-    coeff = 4.0 / (eta * eta)
-    return np.array([coeff / ((za + y) * (za + y)) for za in z])
-
-
 class TsallisInfLockstep:
     """Several Tsallis-INF policies at the same round, advanced together.
 

@@ -241,6 +241,12 @@ def _parse_experiment(cfg: dict, args) -> ExperimentConfig:
         replications=reps,
         master_seed=seed,
     )
+    seen = set()
+    for _, inst, plan, algo in experiment.cells():
+        key = f"{algo.name},{plan.scheme},{_fmt(plan.budget)},{inst.arms}"
+        if key in seen:
+            raise ConfigError(f"two cells would write rows keyed {key} (label,scheme,budget,K)")
+        seen.add(key)
     _check_reach(experiment)
     return experiment
 

@@ -33,7 +33,7 @@ class MeanOutOfRange(BanditLabError, ValueError):
 
 
 class TiedOptimum(BanditLabError, ValueError):
-    """Two arms share the maximal mean and degenerate instances were not allowed."""
+    """Two arms share the maximal mean."""
 
 
 @dataclass(frozen=True)
@@ -45,11 +45,12 @@ class BanditInstance:
     means : tuple of float
         True expected rewards, one per arm.
     optimal_arm : int
-        Index of the maximal mean (lowest index on a permitted tie).
+        Index of the maximal mean.
     gaps : tuple of float
         Suboptimality gaps ``max(means) - means[a]``, all >= 0.
     min_gap : float
-        Smallest positive gap; 0.0 for an all-equal degenerate instance.
+        Smallest positive gap. :func:`make_instance` rejects a tied maximum,
+        so its instances have ``min_gap > 0``; one built directly may not.
     """
 
     means: tuple[float, ...]
@@ -66,16 +67,14 @@ class BanditInstance:
         return self.means[self.optimal_arm]
 
 
-def make_instance(means: Sequence[float], *, allow_degenerate: bool = False) -> BanditInstance:
-    """Validate means and build a :class:`BanditInstance`.
+def make_instance(means: Sequence[float]) -> BanditInstance:
+    """Validate means and build a :class:`BanditInstance` with a unique optimum.
 
     Parameters
     ----------
     means : sequence of float
-        One mean per arm, each in [0, 1]; at least two arms.
-    allow_degenerate : bool
-        Permit ties at the maximum (e.g. an all-equal instance for trivial
-        tests). Experiments require a unique optimum.
+        One mean per arm, each in [0, 1]; at least two arms, and one
+        maximal mean.
 
     Raises
     ------
@@ -91,14 +90,10 @@ def make_instance(means: Sequence[float], *, allow_degenerate: bool = False) -> 
             raise MeanOutOfRange(f"mean of arm {a} is {m!r}, must lie in [0, 1]")
     best = max(vals)
     optimal_arm = vals.index(best)
-    if vals.count(best) > 1 and not allow_degenerate:
-        raise TiedOptimum(
-            "maximal mean %r is shared by several arms; pass allow_degenerate=True "
-            "if this is intentional" % best
-        )
+    if vals.count(best) > 1:
+        raise TiedOptimum(f"maximal mean {best!r} is shared by several arms")
     gaps = tuple(best - m for m in vals)
-    positive = [g for g in gaps if g > 0.0]
-    min_gap = min(positive) if positive else 0.0
+    min_gap = min(g for g in gaps if g > 0.0)
     return BanditInstance(means=vals, optimal_arm=optimal_arm, gaps=gaps, min_gap=min_gap)
 
 

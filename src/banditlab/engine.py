@@ -463,7 +463,6 @@ def _cell_task(args):
         ]
     return [
         (
-            trace.checkpoints[-1][1],
             tuple(r for _, r in trace.checkpoints),
             trace.spent(),
             policy.state.clamp_events if isinstance(policy, SambaPolicy) else 0,
@@ -641,10 +640,10 @@ def run_batch(config: ExperimentConfig, *, threads: int | None = None) -> Aggreg
     for cell_idx, inst, plan, algo in config.cells():
         rows = results[pos : pos + reps]
         pos += reps
-        finals = np.array([r[0] for r in rows])
-        curves = np.array([r[1] for r in rows])
-        spents = np.array([r[2] for r in rows])
-        clamps = sum(r[3] for r in rows)
+        curves = np.array([r[0] for r in rows])
+        finals = np.array([r[0][-1] for r in rows])
+        spents = np.array([r[1] for r in rows])
+        clamps = sum(r[2] for r in rows)
         sd = float(finals.std(ddof=1)) if reps > 1 else 0.0
         curve_sd = curves.std(axis=0, ddof=1) if reps > 1 else np.zeros(curves.shape[1])
         curve = [

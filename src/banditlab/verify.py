@@ -60,9 +60,8 @@ class AnalysisConstants:
     negative-drift regime (alpha < gap / (r_best - gap)); it is a flag, never
     an error. ``epsilon`` splits the remaining slack in half; ``xi`` is the
     per-round expected decrease of 1/p_opt while the best arm is not the
-    leader; ``zeta`` converts corruption cost into drift excursion;
-    ``large_corruption_threshold`` (gap/4) separates small from large
-    per-round corruption in the recovery bookkeeping.
+    leader; ``zeta`` converts corruption cost into drift excursion. They
+    need ``min_gap > 0``, which only a tied, directly built instance lacks.
     """
 
     alpha: float
@@ -73,7 +72,6 @@ class AnalysisConstants:
     epsilon: float
     xi: float
     zeta: float
-    large_corruption_threshold: float
 
 
 def analysis_constants(instance: BanditInstance, alpha: float) -> AnalysisConstants:
@@ -104,7 +102,6 @@ def analysis_constants(instance: BanditInstance, alpha: float) -> AnalysisConsta
         epsilon=epsilon,
         xi=xi,
         zeta=zeta,
-        large_corruption_threshold=gap / 4.0,
     )
 
 
@@ -779,22 +776,21 @@ def run_verification_suite(
     instance: BanditInstance,
     alpha: float,
     *,
-    sizes: SuiteSizes | None = None,
-    seed: int = 2024,
+    sizes: SuiteSizes,
+    seed: int,
     kernel: type[SambaLockstep] = SambaLockstep,
-    log_curve: Sequence[tuple[int, float]] | None = None,
+    log_curve: Sequence[tuple[int, float]],
 ) -> list[CheckOutcome]:
-    """Run every analysis check, each a (name, thunk) row giving (passed, detail).
+    """Run the nine analysis checks, each a (name, thunk) row giving (passed, detail).
 
     A check that cannot be set up (:class:`CheckSetupFailure`) fails with
     the reason and the others still run; any other exception propagates.
     ``kernel`` plays SAMBA in the drift, recovery, decay and oracle_mc
-    checks. log_fit judges the caller's clean regret curve (the CLI makes
-    it with the engine), the suite's only check of the engine's own curve;
-    the kernel does not reach it, since that would need an option on the
-    engine or its policy registry.
+    checks. log_fit judges the caller's clean regret curve ``log_curve``
+    (the CLI makes it with the engine), the suite's only check of the
+    engine's own curve; the kernel does not reach it, since that would need
+    an option on the engine or its policy registry.
     """
-    sizes = sizes or SuiteSizes()
     consts = analysis_constants(instance, alpha)
     eighth_gap = instance.min_gap / 8.0
 
@@ -860,9 +856,8 @@ def run_verification_suite(
         ("recovery", recovery),
         ("decay", decay),
         ("oracle_mc", oracle_mc),
+        ("log_fit", log_fit),
     ]
-    if log_curve is not None:
-        checks.append(("log_fit", log_fit))
     outcomes = []
     for name, thunk in checks:
         try:

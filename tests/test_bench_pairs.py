@@ -4,6 +4,7 @@ import importlib.util
 import json
 import os
 import pathlib
+import statistics
 import subprocess
 import sys
 import time
@@ -24,7 +25,7 @@ METRICS = {
 def runs_of(parent: list[float], change: list[float], metric: str = "wall_s") -> dict:
     def run(value):
         return {"metrics": {metric: value}, "sha256": "same", "failed": 0, "correct": True,
-                "left_running": False}
+                "left_running": False, "cpu_s": 2 * value}
 
     return {"parent": [run(v) for v in parent], "change": [run(v) for v in change]}
 
@@ -88,13 +89,16 @@ def test_summary_keeps_counts_and_bound():
     assert summary["failed_operations"] == {"parent": 0, "change": 0}
     assert summary["all_correct"]
     assert summary["runs_left_running"] == {"parent": 0, "change": 0}
+    # CPU time gets quartiles per side, and no verdict
+    assert summary["cpu_s"]["parent"]["median"] == pytest.approx(2 * statistics.median(TIGHT))
+    assert set(summary["cpu_s"]) == {"parent", "change"}
 
 
 def test_bounds_come_from_benchmark_json():
     with open(TOOL.parents[1] / "BENCHMARK.json", encoding="utf-8") as fh:
         declared = {m["name"]: m for m in json.load(fh)["end_to_end"]}
     runs = {side: [{"metrics": {name: 1.0 for name in declared}, "sha256": "",
-                    "failed": 0, "correct": True, "left_running": False}] * 4
+                    "failed": 0, "correct": True, "left_running": False, "cpu_s": 1.0}] * 4
             for side in ("parent", "change")}
     summary = bench_pairs.summarise(runs, declared)
     for name, spec in declared.items():
@@ -155,17 +159,43 @@ else:
 """
 
 
+# Burns BURN_S of CPU in a forked child it reaps, then as much itself.
+BURNS_CPU = """
+import os, time
+BURN_S = 0.3
+
+def burn():
+    start = time.process_time()
+    while time.process_time() - start < BURN_S:
+        pass
+
+pid = os.fork()
+if pid == 0:
+    burn()
+    os._exit(0)
+os.waitpid(pid, 0)
+burn()
+"""
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork and process groups")
 class TestRunInSession:
     def test_clean_run_leaves_nothing(self, tmp_path):
-        done, stray = bench_pairs.run_in_session([sys.executable, "-c", "print('hi')"],
-                                                 str(tmp_path))
+        done, stray, _ = bench_pairs.run_in_session([sys.executable, "-c", "print('hi')"],
+                                                    str(tmp_path))
         assert (done.returncode, done.stdout, stray) == (0, "hi\n", False)
+
+    def test_cpu_time_counts_reaped_descendants(self, tmp_path):
+        done, _, cpu_s = bench_pairs.run_in_session([sys.executable, "-c", BURNS_CPU],
+                                                    str(tmp_path))
+        assert done.returncode == 0
+        # 0.3 s in the reaped child and 0.3 s in the run, plus interpreter start-up
+        assert 0.6 <= cpu_s < 3.0
 
     def test_outliving_child_is_reported_and_killed(self, tmp_path):
         start = time.monotonic()
-        done, stray = bench_pairs.run_in_session([sys.executable, "-c", LEAVES_A_CHILD],
-                                                 str(tmp_path))
+        done, stray, _ = bench_pairs.run_in_session([sys.executable, "-c", LEAVES_A_CHILD],
+                                                    str(tmp_path))
         assert done.returncode == 0 and stray
         assert time.monotonic() - start < 30  # the child's open stdout did not stall the wait
         child = int(done.stdout)

@@ -78,6 +78,15 @@ class TestRun:
             ("tsallis_inf", "consecutive", "500"),
         ]
 
+    def test_repeated_key_named(self, tmp_path, capsys):
+        payload = {**BASE_CONFIG,
+                   "algorithms": [{"algorithm": "samba", "params": {"alpha": 0.05}},
+                                  {"algorithm": "samba", "params": {"alpha": 0.1}}]}
+        assert main(["run", "--config", write_config(tmp_path, payload),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "rows keyed samba,none,0,3 " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config_flag(self, capsys):
         assert main(["run"]) == 2
 
@@ -236,6 +245,20 @@ class TestRun:
             pytest.param(lambda c: c.update(corruption={"schemes": ["none"], "budgets": [0],
                                                         "strategy": "swap_extremes"}),
                          id="strategy_without_corrupted_cell"),
+            # two cells under one (label, scheme, budget, K) key would write
+            # rows that cannot be told apart
+            pytest.param(lambda c: c.update(corruption={"schemes": ["consecutive", "consecutive"],
+                                                        "budgets": [5]}),
+                         id="repeated_scheme"),
+            pytest.param(lambda c: c.update(corruption={"schemes": ["consecutive"],
+                                                        "budgets": [5, 5.0]}),
+                         id="repeated_budget"),
+            pytest.param(lambda c: c.update(instance={"k": [3, 3], "means": "uniform"}),
+                         id="repeated_arm_count"),
+            pytest.param(lambda c: c.update(algorithms=[
+                {"algorithm": "samba", "params": {"alpha": 0.05}},
+                {"algorithm": "samba", "params": {"alpha": 0.1}},
+            ]), id="repeated_label"),
         ],
     )
     def test_config_errors_exit_2(self, tmp_path, mutate):

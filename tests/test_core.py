@@ -55,16 +55,6 @@ class TestMakeInstance:
         with pytest.raises(TiedOptimum):
             make_instance((0.7, 0.7, 0.1))
 
-    def test_tied_optimum_allowed_explicitly(self):
-        inst = make_instance((0.7, 0.7, 0.1), allow_degenerate=True)
-        assert inst.optimal_arm == 0  # lowest index wins the tie
-        assert inst.min_gap == pytest.approx(0.6)
-
-    def test_all_equal_degenerate_min_gap_zero(self):
-        inst = make_instance((0.5, 0.5), allow_degenerate=True)
-        assert inst.min_gap == 0.0
-        assert inst.gaps == (0.0, 0.0)
-
 
 class TestTrace:
     def _trace(self, **over):

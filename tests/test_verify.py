@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from banditlab.core import InstanceTooLarge, make_instance
+from banditlab.core import BanditInstance, InstanceTooLarge, make_instance
 from banditlab.samba import (
     SambaLockstep,
     samba_from_probabilities,
@@ -71,7 +71,6 @@ class TestAnalysisConstants:
         assert c.xi == pytest.approx(0.5 * 0.05 * (0.9 / 1.05 - 0.8))
         assert c.xi == pytest.approx(1 / 700)
         assert c.zeta == pytest.approx(c.xi / (0.05 * (1 + c.epsilon + 1 / 1.05)))
-        assert c.large_corruption_threshold == pytest.approx(0.025)
 
     def test_alpha_too_large_flags_invalid(self):
         c = analysis_constants(ladder(), 0.2)  # bound is 0.125
@@ -93,7 +92,7 @@ class TestAnalysisConstants:
         assert c.zeta == 0.0
 
     def test_rejects_tied_instance(self):
-        inst = make_instance((0.5, 0.5), allow_degenerate=True)
+        inst = BanditInstance(means=(0.5, 0.5), optimal_arm=0, gaps=(0.0, 0.0), min_gap=0.0)
         with pytest.raises(ValueError):
             analysis_constants(inst, 0.05)
 

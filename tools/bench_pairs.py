@@ -15,8 +15,9 @@ end-to-end metric is summarised by the parent's and the change's quartiles,
 the ratio of medians, how many pairs the change won (in the direction
 ``BENCHMARK.json`` gives) and the gap between medians next to the parent's
 interquartile range, with the verdicts that ``BENCHMARK.json``'s bounds give
-(see ``summarise``). The runs' CSV digests show whether both trees wrote the
-same bytes for the same seed.
+(see ``summarise``). Each run's CPU seconds, its own and its reaped
+workers', are kept as ``cpu_s`` and summarised by quartiles only. The runs'
+CSV digests show whether both trees wrote the same bytes for the same seed.
 
 ``--digest CONFIG`` (repeatable) runs ``banditlab sweep --config CONFIG``
 in both trees with each of ``--digest-threads`` and records the SHA-256 of
@@ -53,6 +54,7 @@ import json
 import os
 import platform
 import re
+import resource
 import signal
 import statistics
 import subprocess
@@ -138,34 +140,47 @@ def left_running(pgid: int) -> bool:
     return True
 
 
-def run_in_session(cmd: list[str], tree: str) -> tuple[subprocess.CompletedProcess, bool]:
-    """Run ``cmd`` at the root of ``tree`` in a session of its own, and whether
-    any process of that session outlived it (see ``left_running``).
+def _children_cpu_s() -> float:
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
 
-    Output goes to files, not pipes, so a process left holding them cannot
-    stall the wait.
+
+def run_in_session(
+    cmd: list[str], tree: str
+) -> tuple[subprocess.CompletedProcess, bool, float]:
+    """Run ``cmd`` at the root of ``tree`` in a session of its own; return its
+    result, whether any process of that session outlived it (see
+    ``left_running``), and its CPU seconds.
+
+    The CPU seconds are user plus system time of the run and of every
+    descendant it reaped, read as the change in this process's
+    ``RUSAGE_CHILDREN`` across the wait. Output goes to files, not pipes, so
+    a process left holding them cannot stall the wait.
     """
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        cpu_before = _children_cpu_s()
         proc = subprocess.Popen(cmd, cwd=tree, env=_env(tree), stdout=out, stderr=err,
                                 start_new_session=True)
         proc.wait()
+        cpu_s = _children_cpu_s() - cpu_before
         stray = left_running(proc.pid)
         out.seek(0)
         err.seek(0)
         done = subprocess.CompletedProcess(cmd, proc.returncode, out.read().decode(),
                                            err.read().decode())
-    return done, stray
+    return done, stray, cpu_s
 
 
 def bench_run(tree: str, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "benchmark/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    done, stray = run_in_session(cmd, tree)
+    done, stray, cpu_s = run_in_session(cmd, tree)
     done.check_returncode()
     header, result = (json.loads(line) for line in done.stdout.strip().splitlines()[-2:])
     return {
         "seed": seed,
         "left_running": stray,
+        "cpu_s": cpu_s,
         "samples": header["info"]["samples"],
         "sha256": header["info"]["sha256"],
         **{key: result[key] for key in ("correct", "attempted", "failed")},
@@ -182,6 +197,8 @@ def summarise(runs: dict, metrics: dict) -> dict:
     more than the bound. ``unresolved``: the parent's IQR is wider than the
     bound (relative to its median). ``gain_rule_met``: the change won at least
     nine in ten pairs and its median is better by more than the parent's IQR.
+    ``cpu_s``, each run's CPU seconds (see ``run_in_session``), gets its
+    quartiles per side only: no bound or verdict applies to it.
     """
     summary = {}
     for name, spec in metrics.items():
@@ -204,6 +221,7 @@ def summarise(runs: dict, metrics: dict) -> dict:
             "unresolved": parent_iqr > spec["bound"] * abs(parent["median"]),
             "gain_rule_met": 10 * wins >= 9 * pairs and improvement > parent_iqr,
         }
+    summary["cpu_s"] = {side: _quartiles([r["cpu_s"] for r in runs[side]]) for side in SIDES}
     summary["same_csv_bytes_per_seed"] = sum(
         p["sha256"] == c["sha256"] for p, c in zip(runs["parent"], runs["change"])
     )
@@ -220,7 +238,7 @@ def digest_run(tree: str, config: str, threads: int) -> dict:
         cmd = [sys.executable, "-m", "banditlab.cli", "sweep", "--config", config,
                "--out", out, "--threads", str(threads)]
         start = time.perf_counter()
-        done, stray = run_in_session(cmd, tree)
+        done, stray, _ = run_in_session(cmd, tree)
         wall = time.perf_counter() - start
         record = {"exit": done.returncode, "wall_s": wall, "left_running": stray}
         for name in ("results.csv", "curves.csv"):
@@ -239,7 +257,7 @@ def failing_checks(stdout: str) -> list[str]:
 def verify_run(tree: str, seed: int) -> dict:
     cmd = [sys.executable, "-m", "banditlab.cli", "verify", "--fast", "--seed", str(seed)]
     start = time.perf_counter()
-    done, stray = run_in_session(cmd, tree)
+    done, stray, _ = run_in_session(cmd, tree)
     wall = time.perf_counter() - start
     return {"seed": seed, "exit": done.returncode, "wall_s": wall,
             "failing": failing_checks(done.stdout), "left_running": stray}
@@ -263,7 +281,7 @@ def tier1_run(tree: str) -> dict:
     cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
            "--durations=0", "-rA", "-p", "no:cacheprovider"]
     start = time.perf_counter()
-    done, stray = run_in_session(cmd, tree)
+    done, stray, _ = run_in_session(cmd, tree)
     wall = time.perf_counter() - start
     text = done.stdout
     # -rA adds every test's captured output, so the counts come from the last line only.
@@ -292,7 +310,7 @@ def probe(trees: dict, workload: str, seed: int) -> dict:
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
             for what in ("1", "2", "adversary"):
                 cmd = [sys.executable, "-c", PROBE, workload, str(seed), what]
-                done, stray = run_in_session(cmd, trees[side])
+                done, stray, _ = run_in_session(cmd, trees[side])
                 done.check_returncode()
                 strays[side] += stray
                 for name, value in json.loads(done.stdout).items():
